@@ -167,9 +167,9 @@ pub fn gemm_threads() -> usize {
 }
 
 /// Name of the widest kernel instantiation this CPU dispatches to, for
-/// telemetry and `BENCH_history.jsonl` (`avx512f`, `avx2+fma`, or
+/// telemetry and the benchmark's results (`avx512f`, `avx2+fma`, or
 /// `portable`). Detection is cached; the answer is a pure function of the
-/// machine, so recording it makes bench entries comparable across hosts.
+/// machine, so recording it makes results comparable across hosts.
 pub fn isa_name() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     {

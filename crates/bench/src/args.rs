@@ -33,8 +33,7 @@ pub struct ExperimentArgs {
     /// checkpoint exists (Algorithm 2).
     pub skill_episodes: usize,
     /// When set, install the telemetry subsystem and write
-    /// `telemetry.jsonl` / `counters.csv` / `spans.csv` /
-    /// `BENCH_telemetry.json` into this directory on exit.
+    /// `telemetry.jsonl` into this directory on exit.
     pub telemetry_out: Option<PathBuf>,
     /// When set, record Chrome trace events for every span and write a
     /// Perfetto-loadable `trace.json` to this file on exit.

@@ -1,7 +1,8 @@
 //! # hero-bench
 //!
 //! The experiment harness regenerating every table and figure of the HERO
-//! paper's evaluation (Sec. V), plus Criterion micro-benchmarks.
+//! paper's evaluation (Sec. V). Performance is measured by the
+//! repository benchmark (`benchmark/run.sh`), not by this crate.
 //!
 //! One binary per experiment (see `DESIGN.md` for the full index):
 //!
@@ -21,8 +22,8 @@
 //! `--paper-scale` for the full Table I budget) and writes CSV series
 //! under `target/experiments/`. Passing `--telemetry-out DIR`
 //! additionally records span timings, counters, and throughput gauges
-//! (see `hero_rl::telemetry`) and writes `telemetry.jsonl` plus CSV and
-//! `BENCH_telemetry.json` summaries into `DIR` on exit; passing
+//! (see `hero_rl::telemetry`) and writes them to `DIR/telemetry.jsonl`
+//! on exit (read it with `hero-inspect`); passing
 //! `--trace-out FILE` records Chrome trace events for every span and
 //! writes a Perfetto-loadable `trace.json` to `FILE`; passing
 //! `--metrics-addr HOST:PORT` serves the live registry over HTTP for the
@@ -91,9 +92,8 @@ pub struct TelemetrySession {
 /// Installs the telemetry subsystem for one experiment run when the user
 /// passed `--telemetry-out DIR`, `--trace-out FILE`, and/or
 /// `--metrics-addr HOST:PORT`. Keep the returned session alive for the
-/// whole run: dropping it flushes `telemetry.jsonl`, `counters.csv`,
-/// `spans.csv`, and `BENCH_telemetry.json` into the directory (when
-/// `--telemetry-out` was given), writes the Chrome trace to the file
+/// whole run: dropping it flushes `telemetry.jsonl` into the directory
+/// (when `--telemetry-out` was given), writes the Chrome trace to the file
 /// (when `--trace-out` was given), shuts down the HTTP exporter (when
 /// `--metrics-addr` was given), and uninstalls the sink. Returns `None`
 /// (telemetry stays disabled, with near-zero overhead) when all three

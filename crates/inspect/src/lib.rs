@@ -1,6 +1,8 @@
-//! Analysis of telemetry dumps produced by `hero_rl::telemetry`
-//! (`telemetry.jsonl`): terminal summaries, A-vs-B regression diffs, and
-//! learning-health anomaly reports.
+//! Analysis of telemetry dumps produced by `hero_rl::telemetry`:
+//! terminal summaries, A-vs-B regression diffs, and learning-health
+//! anomaly reports. Every input is a run's `telemetry.jsonl` (or a live
+//! `/snapshot` scrape in the same format), the one per-run artifact that
+//! experiment binaries and `hero-serve` write.
 //!
 //! Three operations, mirroring the `hero-inspect` subcommands:
 //!
@@ -8,8 +10,9 @@
 //! - [`diff`] — compare two runs metric-by-metric with relative tolerances;
 //!   drives the CI golden-baseline gate.
 //! - [`doctor`] — scan one run for known pathologies: watchdog events
-//!   (non-finite gradients), dead layers (zero gradient norm), and policy
-//!   entropy collapse.
+//!   (non-finite gradients), dead layers (zero gradient norm), policy
+//!   entropy collapse, checkpoint and actor faults, and serving
+//!   micro-batches that never coalesce.
 //!
 //! ## What `diff` compares (and what it deliberately ignores)
 //!
@@ -484,6 +487,10 @@ pub struct Finding {
 /// Policy-entropy floor below which [`doctor`] reports collapse.
 pub const ENTROPY_COLLAPSE_FLOOR: f64 = 0.01;
 
+/// Mean rows per serving forward pass at or below which [`doctor`]
+/// reports that micro-batching is not engaging.
+pub const IDLE_BATCH_OCCUPANCY: f64 = 1.05;
+
 /// Scans a run for known learning pathologies:
 ///
 /// - **NaN events** — non-zero `watchdog/*` counters mean the optimizer
@@ -513,9 +520,34 @@ pub const ENTROPY_COLLAPSE_FLOOR: f64 = 0.01;
 ///   `supervisor/emergency_skipped` are critical — the run aborted early,
 ///   and in the `emergency_skipped` case without a recoverable
 ///   checkpoint.
+/// - **Idle micro-batching** — on a `hero-serve` run, a mean
+///   `live/serve/batch_occupancy` of at most [`IDLE_BATCH_OCCUPANCY`]
+///   rows per forward pass while the `live/serve/max_batch` gauge allows
+///   more (warning: the daemon pays dispatcher overhead for no coalescing
+///   win; the offered load is too low for the batch deadline).
 #[must_use]
 pub fn doctor(run: &Run) -> Vec<Finding> {
     let mut findings = Vec::new();
+    if let Some(occ) = run.live.get("live/serve/batch_occupancy") {
+        // A daemon that predates the gauge recorded no bound: treat it as unbounded.
+        let max_batch = run
+            .gauges
+            .get("live/serve/max_batch")
+            .copied()
+            .unwrap_or(f64::INFINITY);
+        if occ.count > 0 && occ.mean <= IDLE_BATCH_OCCUPANCY && max_batch > 1.0 {
+            findings.push(Finding {
+                severity: Severity::Warning,
+                message: format!(
+                    "serving batch occupancy = {:.2} rows per forward pass with max_batch \
+                     {max_batch:.0} — micro-batching is not engaging; the offered load is too \
+                     low for the batch deadline, so the daemon pays dispatcher overhead for no \
+                     coalescing win",
+                    occ.mean
+                ),
+            });
+        }
+    }
     if let Some(c) = run.counters.get("actor/stalled") {
         if c.total > 0 {
             findings.push(Finding {
@@ -646,118 +678,6 @@ pub fn throughput_report(run: &Run) -> String {
         }
     }
     out
-}
-
-/// Kernel-throughput summary from a `BENCH_train_throughput.json` next to
-/// the run (searched in the run directory, then the current directory).
-/// Prints the recorded matmul GFLOP/s — per kernel tier when the bench
-/// was produced by a fast-math build — so `doctor` shows at a glance
-/// whether the machine's measured compute matches expectations. Empty
-/// when no bench file is found or it predates the GFLOP/s fields:
-/// absence of a benchmark is not a pathology.
-#[must_use]
-pub fn bench_report(run_path: &Path) -> String {
-    let run_dir = if run_path.is_dir() { run_path } else { run_path.parent().unwrap_or(run_path) };
-    let mut out = String::new();
-    for dir in [run_dir, Path::new(".")] {
-        let path = dir.join("BENCH_train_throughput.json");
-        let Ok(text) = std::fs::read_to_string(&path) else { continue };
-        let Ok(fields) = hero_telemetry::emit::parse_json_object(&text) else {
-            let _ = writeln!(out, "bench  {} unreadable (not a JSON object)", path.display());
-            return out;
-        };
-        let num = |key: &str| fields.get(key).and_then(JsonValue::as_f64);
-        let mut rows: Vec<(String, f64)> = Vec::new();
-        if let Some(g) = num("matmul_gflops_strict").or_else(|| num("matmul_gflops")) {
-            rows.push(("matmul GFLOP/s (strict)".into(), g));
-        }
-        if let Some(g) = num("matmul_gflops_fast") {
-            rows.push(("matmul GFLOP/s (fast)".into(), g));
-            for t in [1usize, 2, 4] {
-                if let Some(gt) = num(&format!("matmul_gflops_fast_t{t}")) {
-                    rows.push((format!("matmul GFLOP/s (fast, {t} thr)"), gt));
-                }
-            }
-            if let Some(s) = num("fast_vs_strict_speedup") {
-                rows.push(("fast / strict speedup".into(), s));
-            }
-        }
-        if rows.is_empty() {
-            return out;
-        }
-        let dim = num("matmul_mode_dim").or_else(|| num("matmul_dim")).unwrap_or(0.0);
-        let isa = fields.get("isa").and_then(JsonValue::as_str).unwrap_or("unknown");
-        let _ = writeln!(out, "bench  {} (dim {dim:.0}, isa {isa})", path.display());
-        for (label, v) in rows {
-            let _ = writeln!(out, "bench  {label:<28} {v:>10.1}");
-        }
-        return out;
-    }
-    out
-}
-
-/// Serving-latency summary from a `BENCH_serve_latency.json` next to the
-/// run (searched in the run directory, then the current directory):
-/// offered throughput, tail latency, and batch occupancy as recorded by
-/// `scripts/bench_serve.sh`. Also returns a [`Finding`] when the mean
-/// batch occupancy sits at ≈1 row per forward pass despite a wider
-/// `max_batch` — the daemon is paying the micro-batching machinery
-/// without coalescing anything, which usually means the offered load is
-/// too low or the batch deadline is too short. Empty when no bench file
-/// is found: absence of a serving benchmark is not a pathology.
-#[must_use]
-pub fn serve_report(run_path: &Path) -> (String, Vec<Finding>) {
-    let run_dir = if run_path.is_dir() { run_path } else { run_path.parent().unwrap_or(run_path) };
-    let mut out = String::new();
-    let mut findings = Vec::new();
-    for dir in [run_dir, Path::new(".")] {
-        let path = dir.join("BENCH_serve_latency.json");
-        let Ok(text) = std::fs::read_to_string(&path) else { continue };
-        let Ok(fields) = hero_telemetry::emit::parse_json_object(&text) else {
-            let _ = writeln!(out, "serve  {} unreadable (not a JSON object)", path.display());
-            return (out, findings);
-        };
-        let num = |key: &str| fields.get(key).and_then(JsonValue::as_f64);
-        let (Some(rps), Some(p99)) = (num("requests_per_s"), num("p99_us")) else {
-            let _ = writeln!(
-                out,
-                "serve  {} lacks requests_per_s / p99_us fields",
-                path.display()
-            );
-            return (out, findings);
-        };
-        let _ = writeln!(out, "serve  {}", path.display());
-        let _ = writeln!(out, "serve  requests/s                   {rps:>10.1}");
-        if let Some(p50) = num("p50_us") {
-            let _ = writeln!(out, "serve  p50 latency (us)             {p50:>10.1}");
-        }
-        if let Some(p95) = num("p95_us") {
-            let _ = writeln!(out, "serve  p95 latency (us)             {p95:>10.1}");
-        }
-        let _ = writeln!(out, "serve  p99 latency (us)             {p99:>10.1}");
-        if let Some(occ) = num("batch_occupancy") {
-            let _ = writeln!(out, "serve  batch occupancy (rows/pass)  {occ:>10.2}");
-        }
-        if let Some(s) = num("batched_vs_single_speedup") {
-            let _ = writeln!(out, "serve  batched / single speedup     {s:>10.2}");
-        }
-        let max_batch = num("max_batch").unwrap_or(f64::INFINITY);
-        if let Some(occ) = num("batch_occupancy") {
-            if occ <= 1.05 && max_batch > 1.0 {
-                findings.push(Finding {
-                    severity: Severity::Warning,
-                    message: format!(
-                        "serving batch occupancy = {occ:.2} rows per forward pass with \
-                         max_batch {max_batch:.0} — micro-batching is not engaging; the \
-                         offered load is too low for the batch deadline, so the daemon \
-                         pays dispatcher overhead for no coalescing win"
-                    ),
-                });
-            }
-        }
-        return (out, findings);
-    }
-    (out, findings)
 }
 
 /// Per-actor channel-pressure summary from the live plane: the maximum
@@ -1071,77 +991,33 @@ mod tests {
         assert!(!diff(&a, &b, &relative(0.5, 0.0, &[], &["entropy/"])).is_regression());
     }
 
-    #[test]
-    fn bench_report_reads_gflops_fields() {
-        let dir = std::env::temp_dir().join(format!("hero-benchrep-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("BENCH_train_throughput.json"),
-            "{\"bench\": \"train_throughput\", \"isa\": \"avx512f\", \"matmul_mode_dim\": 256,\n \
-             \"matmul_gflops_strict\": 34.8, \"matmul_gflops_fast\": 90.9,\n \
-             \"matmul_gflops_fast_t1\": 90.9, \"fast_vs_strict_speedup\": 2.61}",
-        )
-        .unwrap();
-        let text = bench_report(&dir);
-        assert!(text.contains("34.8") && text.contains("90.9"), "{text}");
-        assert!(text.contains("avx512f") && text.contains("dim 256"), "{text}");
-        assert!(text.contains("speedup"), "{text}");
-        // A run *file* inside the directory resolves to the same report.
-        let via_file = bench_report(&dir.join("telemetry.jsonl"));
-        assert_eq!(via_file, text);
-        // Legacy bench files (strict-only field names) still report.
-        std::fs::write(
-            dir.join("BENCH_train_throughput.json"),
-            "{\"matmul_dim\": 128, \"matmul_gflops\": 36.9}",
-        )
-        .unwrap();
-        let text = bench_report(&dir);
-        assert!(text.contains("36.9") && text.contains("strict"), "{text}");
-        let _ = std::fs::remove_dir_all(&dir);
+    /// A `hero-serve --out` run: the daemon's `max_batch` gauge and its
+    /// batch-occupancy histogram with the given mean.
+    fn serve_run(max_batch: u32, occupancy: f64) -> Run {
+        parse_run(&format!(
+            "{{\"type\":\"meta\",\"run\":\"serve\",\"elapsed_s\":3}}\n\
+             {{\"type\":\"counter\",\"name\":\"serve/requests\",\"total\":240,\"rate_per_s\":80}}\n\
+             {{\"type\":\"gauge\",\"name\":\"live/serve/max_batch\",\"value\":{max_batch}}}\n\
+             {{\"type\":\"live\",\"name\":\"live/serve/batch_occupancy\",\"count\":200,\
+             \"mean\":{occupancy},\"min\":1,\"max\":8,\"p50\":1,\"p95\":2,\"p99\":8}}\n"
+        ))
+        .unwrap()
     }
 
     #[test]
-    fn serve_report_reads_latency_fields_and_flags_idle_batching() {
-        let dir = std::env::temp_dir().join(format!("hero-servrep-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("BENCH_serve_latency.json"),
-            "{\"bench\": \"serve_latency\", \"requests_per_s\": 412.7, \"p50_us\": 1800.0,\n \
-             \"p95_us\": 4100.0, \"p99_us\": 6300.0, \"batch_occupancy\": 5.4,\n \
-             \"max_batch\": 32, \"batched_vs_single_speedup\": 2.9}",
-        )
-        .unwrap();
-        let (text, findings) = serve_report(&dir);
-        assert!(text.contains("412.7") && text.contains("6300.0"), "{text}");
-        assert!(text.contains("5.40") && text.contains("2.90"), "{text}");
-        assert!(findings.is_empty(), "healthy occupancy flagged: {findings:?}");
-        // A run *file* inside the directory resolves to the same report.
-        let (via_file, _) = serve_report(&dir.join("telemetry.jsonl"));
-        assert_eq!(via_file, text);
+    fn doctor_flags_serving_batches_that_never_coalesce() {
+        assert!(
+            doctor(&serve_run(32, 5.4)).is_empty(),
+            "healthy occupancy flagged"
+        );
         // Occupancy pinned at ~1 row per pass means batching never engaged.
-        std::fs::write(
-            dir.join("BENCH_serve_latency.json"),
-            "{\"requests_per_s\": 80.0, \"p99_us\": 900.0, \"batch_occupancy\": 1.01,\n \
-             \"max_batch\": 32}",
-        )
-        .unwrap();
-        let (_, findings) = serve_report(&dir);
+        let findings = doctor(&serve_run(32, 1.01));
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].severity, Severity::Warning);
         assert!(findings[0].message.contains("not engaging"), "{}", findings[0].message);
         // ...but occupancy 1 with max_batch 1 is the configured baseline,
         // not a pathology.
-        std::fs::write(
-            dir.join("BENCH_serve_latency.json"),
-            "{\"requests_per_s\": 80.0, \"p99_us\": 900.0, \"batch_occupancy\": 1.0,\n \
-             \"max_batch\": 1}",
-        )
-        .unwrap();
-        let (_, findings) = serve_report(&dir);
-        assert!(findings.is_empty(), "{findings:?}");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(doctor(&serve_run(1, 1.0)).is_empty());
     }
 
     #[test]

@@ -23,12 +23,9 @@
 //! wins), e.g. `--rtol-prefix counter/:0` pins event counts exact.
 //! Tolerance mode and the legacy `--tol-*`/`--abs-floor` family are
 //! mutually exclusive. `doctor` exits 1 when a critical pathology
-//! (watchdog events, dropped checkpoints) is found, and reports recorded
-//! matmul GFLOP/s when a `BENCH_train_throughput.json` sits next to the
-//! run (or in the current directory), plus serving throughput and tail
-//! latency when a `BENCH_serve_latency.json` is found the same way
-//! (warning when batch occupancy shows micro-batching never engaged).
-//! `watch` is "hero-top": it renders a refreshing
+//! (watchdog events, dropped checkpoints) is found; on a `hero-serve`
+//! run it also warns when batch occupancy shows micro-batching never
+//! engaged. `watch` is "hero-top": it renders a refreshing
 //! terminal view of a run from either a live exporter address (anything
 //! that is not an existing path — e.g. `127.0.0.1:9464`, scraped via
 //! `GET /snapshot`) or a finished telemetry file/directory; `--frames N`
@@ -39,9 +36,8 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use hero_inspect::{
-    bench_report, diff, doctor, load_run, parse_run, queue_depth_report, render_findings,
-    render_top, serve_report, summarize, throughput_report, DiffOptions, PrefixTolerance,
-    Severity, Tolerance, Tolerances,
+    diff, doctor, load_run, parse_run, queue_depth_report, render_findings, render_top, summarize,
+    throughput_report, DiffOptions, PrefixTolerance, Severity, Tolerance, Tolerances,
 };
 
 const USAGE: &str = "usage: hero-inspect <summarize RUN | diff BASELINE CANDIDATE \
@@ -78,12 +74,8 @@ fn main() -> ExitCode {
             match load_run(Path::new(run)) {
                 Ok(loaded) => {
                     print!("{}", throughput_report(&loaded));
-                    print!("{}", bench_report(Path::new(run)));
-                    let (serve_text, serve_findings) = serve_report(Path::new(run));
-                    print!("{serve_text}");
                     print!("{}", queue_depth_report(&loaded));
-                    let mut findings = doctor(&loaded);
-                    findings.extend(serve_findings);
+                    let findings = doctor(&loaded);
                     print!("{}", render_findings(&findings));
                     if findings.iter().any(|f| f.severity == Severity::Critical) {
                         ExitCode::FAILURE

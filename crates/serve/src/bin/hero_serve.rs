@@ -28,8 +28,8 @@ usage: hero-serve [flags]
   --kernel-mode MODE       strict (default) or fast (needs a
                            --features fast-math build)
   --gemm-threads N         matmul worker threads in fast mode (default 1)
-  --out DIR                write serve_addr discovery file and telemetry
-                           outputs into DIR
+  --out DIR                write the serve_addr discovery file into DIR,
+                           and telemetry.jsonl on exit
   --seed N                 synthetic policy weight seed (default 0)
 
 One of --checkpoint-dir / --synthetic is required.

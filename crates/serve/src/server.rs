@@ -151,6 +151,9 @@ pub fn start(cfg: ServeConfig) -> Result<HeroServer, ServeError> {
     let route_registry = cfg.registry.clone();
     let submit = batcher.sender();
     let max_batch = cfg.batch.max_batch.max(1);
+    // Recorded once, so `hero-inspect doctor` can judge the occupancy
+    // histogram against the bound it was allowed to reach.
+    hero_rl::telemetry::gauge_set("live/serve/max_batch", max_batch as f64);
     let handler: Handler = Arc::new(move |req: &Request| {
         route(
             req,
@@ -362,9 +365,12 @@ fn act(req: &Request, stats: &ServeStats, submit: &channel::Sender<Pending>) -> 
     let mut obs = Vec::new();
     for tok in obs_str.split([' ', ',']).filter(|t| !t.is_empty()) {
         match tok.parse::<f32>() {
-            Ok(v) => obs.push(v),
-            Err(_) => {
-                return Response::with_status(400, format!("bad observation value {tok:?}\n"));
+            Ok(v) if v.is_finite() => obs.push(v),
+            _ => {
+                return Response::with_status(
+                    400,
+                    format!("bad observation value {tok:?}: expected a finite float\n"),
+                );
             }
         }
     }

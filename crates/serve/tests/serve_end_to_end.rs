@@ -173,6 +173,35 @@ fn malformed_requests_are_rejected_without_crashing_the_batch() {
 }
 
 #[test]
+fn non_finite_observations_are_rejected_by_name() {
+    let server = synthetic_server(8);
+    let addr = server.local_addr();
+    for tok in ["NaN", "inf", "-inf"] {
+        let body = format!("{{\"agent\":0,\"obs\":\"0 0 {tok} 0 0 0\"}}");
+        let (status, resp) =
+            http_request("POST", &format!("http://{addr}/act"), &body).expect("request sent");
+        assert_eq!(status, 400, "{tok}: got {status} {resp}");
+        assert!(resp.contains(&format!("{tok:?}")), "{tok}: {resp}");
+    }
+    let (status, _) = act(addr, 0, &obs_row(1));
+    assert_eq!(status, 200);
+}
+
+#[test]
+fn deeply_nested_body_is_rejected_and_the_daemon_keeps_serving() {
+    let server = synthetic_server(8);
+    let addr = server.local_addr();
+    // 50 KB of `{"a":`: a parser recursing without a depth bound would
+    // overflow the connection thread's stack and abort the whole daemon.
+    let body = "{\"a\":".repeat(10_000);
+    let (status, resp) =
+        http_request("POST", &format!("http://{addr}/act"), &body).expect("request sent");
+    assert_eq!(status, 400, "got {status} {resp}");
+    let (status, _) = act(addr, 0, &obs_row(1));
+    assert_eq!(status, 200);
+}
+
+#[test]
 fn info_and_stats_describe_the_policy_and_traffic() {
     let server = synthetic_server(8);
     let addr = server.local_addr();

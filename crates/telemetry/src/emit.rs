@@ -1,6 +1,7 @@
-//! Emitters: JSONL and CSV serialization of [`Snapshot`]s, the
-//! `BENCH_telemetry.json` perf-trajectory summary, and a minimal JSONL
-//! parser used by round-trip tests and downstream tooling.
+//! Emitters: JSONL serialization of [`Snapshot`]s into `telemetry.jsonl`,
+//! the one per-run telemetry artifact, and a minimal JSONL parser used by
+//! `hero-inspect`, round-trip tests and the serving daemon's request
+//! bodies.
 //!
 //! ## JSONL schema (one object per line)
 //!
@@ -197,94 +198,30 @@ pub fn flight_to_jsonl(events: &[FlightEvent]) -> String {
     out
 }
 
+/// Writes `body` to `dir/name`, creating `dir` first.
+fn write_file(dir: &Path, name: &str, body: &str) -> io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let mut f = std::fs::File::create(dir.join(name))?;
+    f.write_all(body.as_bytes())?;
+    f.flush()
+}
+
 /// Writes `flight_recorder.jsonl` into `dir`.
 ///
 /// # Errors
 ///
 /// Returns any underlying I/O error.
 pub fn write_flight(events: &[FlightEvent], dir: &Path) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let mut f = std::fs::File::create(dir.join("flight_recorder.jsonl"))?;
-    f.write_all(flight_to_jsonl(events).as_bytes())?;
-    f.flush()
+    write_file(dir, "flight_recorder.jsonl", &flight_to_jsonl(events))
 }
 
-/// Renders counters as CSV (`name,total,rate_per_s`).
-pub fn counters_csv(snap: &Snapshot) -> String {
-    let mut out = String::from("name,total,rate_per_s\n");
-    for (name, c) in &snap.counters {
-        let _ = writeln!(out, "{},{},{}", name, c.total, num(c.rate_per_s));
-    }
-    out
-}
-
-/// Renders span summaries as CSV.
-pub fn spans_csv(snap: &Snapshot) -> String {
-    let mut out =
-        String::from("name,count,total_us,mean_us,min_us,max_us,p50_us,p95_us,p99_us\n");
-    for (name, h) in &snap.spans {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{}",
-            name,
-            h.count,
-            num(h.sum),
-            num(h.mean),
-            num(h.min),
-            num(h.max),
-            num(h.p50),
-            num(h.p95),
-            num(h.p99)
-        );
-    }
-    out
-}
-
-/// Renders the `BENCH_telemetry.json` summary: one flat JSON object whose
-/// keys seed the repository's perf trajectory (throughputs and span p50s).
-pub fn bench_summary_json(snap: &Snapshot) -> String {
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"run\":\"{}\",\"elapsed_s\":{}",
-        escape(&snap.run_label),
-        num(snap.elapsed.as_secs_f64())
-    );
-    for (name, c) in &snap.counters {
-        let _ = write!(
-            out,
-            ",\"{}_total\":{},\"{}_per_s\":{}",
-            escape(name),
-            c.total,
-            escape(name),
-            num(c.rate_per_s)
-        );
-    }
-    for (name, h) in &snap.spans {
-        let key = escape(&name.replace('/', "."));
-        let _ = write!(out, ",\"span.{key}.p50_us\":{}", num(h.p50));
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Writes all emitter outputs into `dir`
-/// (`telemetry.jsonl`, `counters.csv`, `spans.csv`, `BENCH_telemetry.json`).
+/// Writes the snapshot to `dir/telemetry.jsonl`.
 ///
 /// # Errors
 ///
 /// Returns any underlying I/O error.
-pub fn write_all(snap: &Snapshot, dir: &Path) -> io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let write = |name: &str, body: String| -> io::Result<()> {
-        let mut f = std::fs::File::create(dir.join(name))?;
-        f.write_all(body.as_bytes())?;
-        f.flush()
-    };
-    write("telemetry.jsonl", to_jsonl(snap))?;
-    write("counters.csv", counters_csv(snap))?;
-    write("spans.csv", spans_csv(snap))?;
-    write("BENCH_telemetry.json", bench_summary_json(snap))
+pub fn write_jsonl(snap: &Snapshot, dir: &Path) -> io::Result<()> {
+    write_file(dir, "telemetry.jsonl", &to_jsonl(snap))
 }
 
 /// Escapes a Prometheus label value (`\` → `\\`, `"` → `\"`, newline →
@@ -513,16 +450,23 @@ impl JsonValue {
     }
 }
 
-/// Parses one JSON object (nested objects allowed; arrays are not, since
-/// no emitter in this crate produces them), as emitted by [`to_jsonl`] and
-/// the trace exporter.
+/// Deepest object nesting [`parse_json_object`] accepts. Emitters and
+/// tests nest at most three levels; the bound keeps a hostile body (an
+/// `/act` request is untrusted) from recursing the parser off its
+/// thread's stack.
+const MAX_DEPTH: usize = 32;
+
+/// Parses one JSON object (nested objects allowed up to 32 levels;
+/// arrays are not, since no emitter in this crate produces them), as
+/// emitted by [`to_jsonl`] and the trace exporter.
 ///
 /// # Errors
 ///
-/// Returns a description of the first syntax error.
+/// Returns a description of the first syntax error, or of nesting deeper
+/// than 32 objects.
 pub fn parse_json_object(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
     let mut chars = line.trim().chars().peekable();
-    let out = parse_object_body(&mut chars)?;
+    let out = parse_object_body(&mut chars, 1)?;
     skip_ws(&mut chars);
     if let Some(c) = chars.next() {
         return Err(format!("trailing character {c:?} after object"));
@@ -536,9 +480,14 @@ fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
     }
 }
 
+/// Parses the object starting at `chars`, which sits `depth` objects deep.
 fn parse_object_body(
     chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
+    depth: usize,
 ) -> Result<BTreeMap<String, JsonValue>, String> {
+    if depth > MAX_DEPTH {
+        return Err(format!("objects nested deeper than {MAX_DEPTH} levels"));
+    }
     let mut out = BTreeMap::new();
     skip_ws(chars);
     if chars.next() != Some('{') {
@@ -565,19 +514,21 @@ fn parse_object_body(
             if chars.next() != Some(':') {
                 return Err(format!("expected ':' after key {key:?}"));
             }
-            out.insert(key, parse_value(chars)?);
+            out.insert(key, parse_value(chars, depth)?);
         }
     }
     Ok(out)
 }
 
+/// Parses one value of an object that sits `depth` objects deep.
 fn parse_value(
     chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
+    depth: usize,
 ) -> Result<JsonValue, String> {
     skip_ws(chars);
     match chars.peek() {
         Some('"') => Ok(JsonValue::Str(parse_string(chars)?)),
-        Some('{') => Ok(JsonValue::Object(parse_object_body(chars)?)),
+        Some('{') => Ok(JsonValue::Object(parse_object_body(chars, depth + 1)?)),
         Some('t') => {
             expect_word(chars, "true")?;
             Ok(JsonValue::Bool(true))
@@ -681,6 +632,32 @@ mod tests {
         assert!(parse_json_object("nope").is_err());
         assert!(parse_json_object("{\"a\":{\"b\":1}").is_err(), "unclosed nest");
         assert!(parse_json_object("{\"a\":1} x").is_err(), "trailing junk");
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // `depth` objects: `{"a":{"a":...{}...}}`.
+        let nested = |depth: usize| {
+            format!(
+                "{}{{}}{}",
+                "{\"a\":".repeat(depth - 1),
+                "}".repeat(depth - 1)
+            )
+        };
+        assert!(parse_json_object(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_json_object(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nested deeper"), "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // 10,000 levels, parsed on a thread with the default stack size:
+        // a recursion without the bound overflows the stack here and
+        // aborts the whole process.
+        let body = "{\"a\":".repeat(10_000);
+        let result = std::thread::spawn(move || parse_json_object(&body)).join();
+        let err = result.expect("parser thread did not panic").unwrap_err();
+        assert!(err.contains("nested deeper"), "{err}");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   derive throughput gauges (`total / elapsed`, i.e. steps/sec).
 //! * **Streaming value histograms** — [`observe`] records free-form scalars
 //!   (rewards, losses) with bounded memory.
-//! * **Emitters** — [`flush`] writes `telemetry.jsonl`, `counters.csv`,
-//!   `spans.csv`, and a `BENCH_telemetry.json` summary; [`progress`] prints
+//! * **Emitters** — [`flush`] writes `telemetry.jsonl`, the one per-run
+//!   artifact (`hero-inspect` reads it); [`progress`] prints
 //!   a rate-limited human-readable line to stderr. When
 //!   [`TelemetryConfig::trace_out`] is set, the span guards additionally
 //!   record Chrome trace events and [`flush`] writes a Perfetto-loadable
@@ -298,7 +298,7 @@ fn flush_registry(registry: &Registry) -> std::io::Result<()> {
     }
     match &registry.config().out_dir {
         Some(dir) => {
-            emit::write_all(&snap, dir)?;
+            emit::write_jsonl(&snap, dir)?;
             // Post-mortem dump: only incomplete/faulted runs leave a
             // flight_recorder.jsonl behind (a clean exit needs none).
             if registry.is_faulted() {
@@ -683,7 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_writes_all_outputs() {
+    fn flush_writes_only_telemetry_jsonl() {
         let dir = std::env::temp_dir().join(format!(
             "hero-telemetry-test-{}-{:?}",
             std::process::id(),
@@ -695,16 +695,11 @@ mod tests {
             counter_add("env_steps", 42);
             let _s = span("rollout");
         }
-        for name in [
-            "telemetry.jsonl",
-            "counters.csv",
-            "spans.csv",
-            "BENCH_telemetry.json",
-        ] {
-            let path = dir.join(name);
-            let body = std::fs::read_to_string(&path).expect(name);
-            assert!(!body.trim().is_empty(), "{name} is empty");
-        }
+        let written: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(written, ["telemetry.jsonl"], "one per-run artifact");
         let jsonl = std::fs::read_to_string(dir.join("telemetry.jsonl")).unwrap();
         let records = emit::parse_jsonl(&jsonl).unwrap();
         assert!(records

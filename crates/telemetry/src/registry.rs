@@ -20,9 +20,8 @@ pub const FLIGHT_RING_CAPACITY: usize = 4096;
 pub struct TelemetryConfig {
     /// Label identifying the run (e.g. the experiment binary name).
     pub run_label: String,
-    /// Directory where `flush` writes `telemetry.jsonl`, `counters.csv`,
-    /// `spans.csv`, and `BENCH_telemetry.json`. `None` keeps everything
-    /// in memory.
+    /// Directory where `flush` writes `telemetry.jsonl`. `None` keeps
+    /// everything in memory.
     pub out_dir: Option<std::path::PathBuf>,
     /// File where `flush` writes a Chrome trace-event document
     /// (`trace.json`). `None` (the default) disables trace recording

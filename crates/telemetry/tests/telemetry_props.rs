@@ -1,6 +1,7 @@
 //! Property-based coverage of the telemetry primitives: histogram
 //! quantile bounds, counter monotonicity under interleaved increments,
-//! and JSONL emitter round-trips.
+//! JSONL emitter round-trips, and a JSONL reader that never panics on
+//! junk.
 
 use std::time::Duration;
 
@@ -8,6 +9,44 @@ use hero_telemetry::emit::{self, JsonValue};
 use hero_telemetry::registry::{Registry, TelemetryConfig};
 use hero_telemetry::StreamingHistogram;
 use proptest::prelude::*;
+
+/// Pieces junk input is assembled from: structural characters, unbalanced
+/// braces, complete and truncated escapes (`\u` with fewer than four or
+/// non-hex digits), partial literals, odd numbers and non-ASCII text.
+const FRAGMENTS: &[&str] = &[
+    "{",
+    "}",
+    "\"",
+    ":",
+    ",",
+    " ",
+    "\n",
+    "\\",
+    "\\u",
+    "\\u00",
+    "\\u12g4",
+    "\\\"",
+    "\\n",
+    "k",
+    "key",
+    "\u{e9}",
+    "\u{1F600}",
+    "\0",
+    "true",
+    "fals",
+    "null",
+    "nu",
+    "0",
+    "-2.5e3",
+    "1e999",
+    "NaN",
+    "inf",
+    "--",
+    "[",
+    "]",
+    "{\"a\":",
+    "\"type\":\"counter\"",
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -139,19 +178,21 @@ proptest! {
         prop_assert!((mean - naive).abs() <= 1e-6 * (1.0 + naive.abs()));
     }
 
-    /// The BENCH summary is itself one parseable flat JSON object carrying
-    /// each counter's total.
-    fn bench_summary_parses(counts in prop::collection::vec(0u64..1_000, 1..4)) {
-        let r = Registry::new(TelemetryConfig::default());
-        let names = ["env_steps", "episodes", "grad_updates"];
-        for (i, &n) in counts.iter().enumerate() {
-            r.counter_add(names[i], n);
+    /// `parse_jsonl` and `parse_json_object` read every `telemetry.jsonl`
+    /// and every `/act` body, so any input, including nesting thousands
+    /// of objects deep, must come back as `Ok` or `Err` and never panic
+    /// or overflow the stack.
+    fn jsonl_reader_never_panics_on_junk(
+        picks in prop::collection::vec(0usize..FRAGMENTS.len(), 0..64),
+        depth in 0usize..20_000,
+    ) {
+        let junk: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+        let nested = format!("{}{junk}", "{\"a\":".repeat(depth));
+        let lines = format!("{{\"type\":\"meta\"}}\n{junk}\n{nested}");
+        for text in [&junk, &nested, &lines] {
+            let _ = emit::parse_json_object(text);
+            let _ = emit::parse_jsonl(text);
         }
-        let body = emit::bench_summary_json(&r.snapshot());
-        let rec = emit::parse_json_object(&body).unwrap();
-        for (i, &n) in counts.iter().enumerate() {
-            let key = format!("{}_total", names[i]);
-            prop_assert_eq!(rec[&key].as_f64(), Some(n as f64));
-        }
+        prop_assert!(depth <= 32 || emit::parse_json_object(&nested).is_err());
     }
 }

@@ -1,10 +1,24 @@
 #!/usr/bin/env bash
 # Tier-1 gate, telemetry smoke test, the learning-dynamics golden diff,
-# the policy-serving lane, and the fast-math kernel lane. Run from
-# anywhere.
+# the policy-serving lane, the repository benchmark, and the fast-math
+# kernel lane. Run from anywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# Fails unless counter NAME in DIR/telemetry.jsonl satisfies
+# `test TOTAL OP WANT` (an absent counter reads as 0); WHY explains the
+# expectation. Prints every counter of the run on failure.
+expect_counter() {
+    local dir=$1 name=$2 op=$3 want=$4 why=$5 got
+    got=$(sed -n "s|^{\"type\":\"counter\",\"name\":\"$name\",\"total\":\([0-9]*\),.*|\1|p" \
+        "$dir/telemetry.jsonl")
+    test "${got:-0}" "$op" "$want" || {
+        echo "expected $name $op $want ($why), got ${got:-0}"
+        grep '"type":"counter"' "$dir/telemetry.jsonl"
+        exit 1
+    }
+}
 
 echo "=== tier-1: cargo build --release"
 cargo build --release
@@ -130,61 +144,6 @@ wait "$live_pid"
     || { echo "hero-inspect watch failed to render from $LIVE/tel"; exit 1; }
 rm -rf "$LIVE"
 
-echo "=== training-throughput bench (quick)"
-# Quick criterion pass over the kernel and train-step microbenches; the
-# emitted JSON must exist and carry every field bench.sh promises.
-rm -f BENCH_train_throughput.json
-scripts/bench.sh --quick >/dev/null
-python3 - <<'EOF'
-import json
-with open("BENCH_train_throughput.json") as f:
-    bench = json.load(f)
-required = [
-    "matmul_naive_ns", "matmul_tiled_ns", "matmul_gflops",
-    "train_step_naive_ns", "train_step_tiled_ns", "train_step_speedup",
-    "env_steps_per_s", "grad_updates_per_s",
-    "rollout_worlds", "env_steps_per_sec_scalar", "env_steps_per_sec_batched",
-    "rollout_batch_speedup",
-    # Kernel-tier comparison (bench.sh builds with --features fast-math,
-    # so the fast points must be real measurements, not the 0.0 stubs).
-    "matmul_mode_dim", "matmul_gflops_strict", "matmul_gflops_fast",
-    "matmul_gflops_fast_t1", "matmul_gflops_fast_t2", "matmul_gflops_fast_t4",
-    "fast_vs_strict_speedup", "gemm_threads",
-]
-missing = [k for k in required if k not in bench]
-assert not missing, f"BENCH_train_throughput.json missing {missing}"
-bad = [k for k in required if not (isinstance(bench[k], (int, float)) and bench[k] > 0)]
-assert not bad, f"non-positive bench fields: {bad}"
-assert isinstance(bench.get("isa"), str) and bench["isa"], f"bad isa: {bench.get('isa')!r}"
-# The packed FMA tier must beat the strict tiled kernel convincingly;
-# 1.5x here is the noise-proof CI floor (the committed full-length run
-# records >= 2x, the acceptance headline).
-assert bench["fast_vs_strict_speedup"] >= 1.5, \
-    f"fast tier only {bench['fast_vs_strict_speedup']}x over strict"
-print(f"  speedup {bench['train_step_speedup']}x, "
-      f"{bench['matmul_gflops']} GFLOP/s, "
-      f"{bench['env_steps_per_s']} env_steps/s, "
-      f"rollout {bench['rollout_batch_speedup']}x @ "
-      f"{int(bench['rollout_worlds'])} worlds")
-print(f"  kernel tiers ({bench['isa']}): strict {bench['matmul_gflops_strict']} "
-      f"vs fast {bench['matmul_gflops_fast']} GFLOP/s "
-      f"({bench['fast_vs_strict_speedup']}x) @ dim {int(bench['matmul_mode_dim'])}")
-
-# bench.sh also appends one history entry per run; the newest line must
-# be valid JSONL carrying the commit, an ISO date, the machine's ISA and
-# GEMM thread count, and the full bench.
-with open("BENCH_history.jsonl") as f:
-    lines = [ln for ln in f.read().splitlines() if ln.strip()]
-assert lines, "BENCH_history.jsonl is empty"
-entry = json.loads(lines[-1])
-missing = {"sha", "date", "isa", "threads", "bench"} - set(entry)
-assert not missing, f"BENCH_history.jsonl entry missing {missing}"
-assert entry["bench"].get("train_step_speedup", 0) > 0, entry
-assert entry["threads"] >= 1 and entry["isa"], entry
-print(f"  history: {len(lines)} entries, newest {entry['sha']} @ {entry['date']} "
-      f"({entry['isa']}, {entry['threads']} thr)")
-EOF
-
 echo "=== kill-and-resume smoke"
 # A seeded run crashed mid-training (injected kill, exit 137) and resumed
 # from its checkpoint must be indistinguishable from an uninterrupted run:
@@ -232,9 +191,7 @@ truncate -s 64 "$newest"
 ./target/release/fig10_opponent_loss "${RUN_FLAGS[@]}" \
     --out "$CRASH/shared" --telemetry-out "$CRASH/tel-c" \
     --checkpoint-dir "$CRASH/ckpt-b" --resume >/dev/null
-grep -q '^checkpoint/fallback,1,' "$CRASH/tel-c/counters.csv" \
-    || { echo "expected checkpoint/fallback=1 after corrupting the newest checkpoint"; \
-         cat "$CRASH/tel-c/counters.csv"; exit 1; }
+expect_counter "$CRASH/tel-c" checkpoint/fallback -eq 1 "after corrupting the newest checkpoint"
 rm -rf "$CRASH"
 
 echo "=== chaos soak (actor supervision)"
@@ -268,15 +225,9 @@ cp "$CHAOS/shared/fig10_opponent_loss.csv" "$CHAOS/fig10_clean.csv"
     --fault-plan "$CHAOS_PLAN" >/dev/null
 
 # The faults must actually have fired and been healed.
-grep -q '^actor/panicked,1,' "$CHAOS/tel-chaos/counters.csv" \
-    || { echo "expected actor/panicked=1"; cat "$CHAOS/tel-chaos/counters.csv"; exit 1; }
-respawned=$(awk -F, '$1 == "actor/respawned" { print $2 }' "$CHAOS/tel-chaos/counters.csv")
-test "${respawned:-0}" -ge 2 \
-    || { echo "expected actor/respawned >= 2, got ${respawned:-0}"; \
-         cat "$CHAOS/tel-chaos/counters.csv"; exit 1; }
-grep -q '^checkpoint/dropped,1,' "$CHAOS/tel-chaos/counters.csv" \
-    || { echo "expected checkpoint/dropped=1 from disk-full@save:1"; \
-         cat "$CHAOS/tel-chaos/counters.csv"; exit 1; }
+expect_counter "$CHAOS/tel-chaos" actor/panicked -eq 1 "from panic@actor:1"
+expect_counter "$CHAOS/tel-chaos" actor/respawned -ge 2 "actors 1 and 2 replaced"
+expect_counter "$CHAOS/tel-chaos" checkpoint/dropped -eq 1 "from disk-full@save:1"
 
 # Zero-tolerance diff: faults may touch nothing outside their own
 # bookkeeping namespaces. CSVs must be byte-identical.
@@ -321,9 +272,9 @@ echo "=== serving lane (hero-serve + hero-load)"
 # seeded run writes a registry, hero-serve loads the newest checkpoint on
 # an ephemeral port, a hero-load burst must complete every request, one
 # hot-reload must succeed under the same registry, and shutdown must be
-# clean. Then the serving benchmark's quick pass validates its JSON
-# contract into a scratch dir (no tracked files or history touched).
+# clean, leaving the daemon's telemetry.jsonl for hero-inspect doctor.
 SERVE=$(mktemp -d /tmp/hero-serve.XXXXXX)
+cargo build --release -q -p hero-serve --bins
 ./target/release/fig10_opponent_loss \
     --episodes 2 --eval-episodes 1 --skill-episodes 2 --batch-size 8 \
     --update-every 1 --seed 7 --checkpoint-every 1 \
@@ -356,31 +307,21 @@ test "$reload_status" = 200 \
     || { echo "POST /reload returned $reload_status"; cat "$SERVE/reload.json"; exit 1; }
 curl -sf -X POST "http://$SERVE_ADDR/shutdown" >/dev/null
 wait "$serve_pid"
-# Quick benchmark pass: the emitted JSON must carry every field
-# bench_serve.sh promises (written to the scratch dir, so the tracked
-# BENCH_serve_latency.json and BENCH_history.jsonl stay untouched).
-scripts/bench_serve.sh --quick --out "$SERVE" >/dev/null
-python3 - "$SERVE/BENCH_serve_latency.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    bench = json.load(f)
-required = [
-    "requests_per_s", "p50_us", "p95_us", "p99_us",
-    "batch_occupancy", "max_batch_rows",
-    "single_requests_per_s", "single_p99_us", "batched_vs_single_speedup",
-]
-missing = [k for k in required if k not in bench]
-assert not missing, f"BENCH_serve_latency.json missing {missing}"
-bad = [k for k in required if not (isinstance(bench[k], (int, float)) and bench[k] > 0)]
-assert not bad, f"non-positive serve bench fields: {bad}"
-assert bench.get("bench") == "serve_latency", bench.get("bench")
-assert bench.get("kernel_mode") == "fast", bench.get("kernel_mode")
-print(f"  {bench['requests_per_s']} req/s batched vs "
-      f"{bench['single_requests_per_s']} single "
-      f"({round(bench['batched_vs_single_speedup'], 2)}x), "
-      f"occupancy {bench['batch_occupancy']} rows/pass")
-EOF
+grep -q '"name":"live/serve/max_batch","value":32}' "$SERVE/daemon/telemetry.jsonl" \
+    || { echo "daemon telemetry lacks its max_batch gauge"; \
+         cat "$SERVE/daemon/telemetry.jsonl"; exit 1; }
+./target/release/hero-inspect doctor "$SERVE/daemon"
 rm -rf "$SERVE"
+
+echo "=== repository benchmark"
+# benchmark/ is the one performance measurement (see benchmark/README.md).
+# Build it against the current crates, run its helper tests, then one
+# quick pass: run.sh exits nonzero when any built-in check fails (state
+# digests, bitwise logits, reloads, stage sums).
+BENCH=$(mktemp -d /tmp/hero-bench.XXXXXX)
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --quick --out "$BENCH/results.json"
+rm -rf "$BENCH"
 
 echo "=== fast-math lane"
 # The opt-in GEMM tier: packed FMA kernels behind --features fast-math.
@@ -390,9 +331,11 @@ echo "=== fast-math lane"
 #
 # 1. The kernel property suite: fast kernels vs an f64-accumulated
 #    reference over ragged shapes, and bit-identical reruns at 1/2/4
-#    GEMM threads.
+#    GEMM threads. Then the throughput floor: one fast-tier thread at
+#    least 1.5x the strict kernel at 256^3 (its own test binary, so it
+#    measures on an otherwise idle process).
 cargo test -q --release -p hero-autograd --features fast-math \
-    --test fastmath_kernel_props
+    --test fastmath_kernel_props --test fastmath_speedup
 # 2. Checkpoint mode hygiene: a checkpoint written under one kernel mode
 #    refuses to resume under the other (both directions with the feature).
 cargo test -q --release -p hero-core --features fast-math \
@@ -413,9 +356,7 @@ FAST=$(mktemp -d /tmp/hero-fast.XXXXXX)
     tests/golden/diag_baseline_fast.jsonl "$FAST/tel" \
     --rtol 0.4 --atol 1e-3 --rtol-prefix counter/:0 --fail-on-regression
 # The fast run must identify itself in telemetry.
-grep -q '^kernel/fast_math,1,' "$FAST/tel/counters.csv" \
-    || { echo "fast run did not record kernel/fast_math"; \
-         cat "$FAST/tel/counters.csv"; exit 1; }
+expect_counter "$FAST/tel" kernel/fast_math -eq 1 "the fast run identifies itself"
 rm -rf "$FAST"
 
 echo "=== CI passed"

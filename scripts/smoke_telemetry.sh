@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test: every experiment binary must run at a tiny budget with
-# --telemetry-out/--trace-out and emit non-empty telemetry artifacts,
-# including a Chrome trace and (for the skill-bootstrapping first run)
-# per-layer gradient diagnostics.
+# --telemetry-out/--trace-out and emit a non-empty telemetry.jsonl (the
+# one per-run artifact) and Chrome trace, nothing else, and (for the
+# skill-bootstrapping first run) per-layer gradient diagnostics.
 #
 # Usage: scripts/smoke_telemetry.sh [workdir]
 # Exits non-zero on the first binary that fails or emits no telemetry.
@@ -34,12 +34,17 @@ for bin in "${BINS[@]}"; do
         --episodes 2 --eval-episodes 1 --skill-episodes 2 --batch-size 8 \
         --seed 7 --out "$OUT" --telemetry-out "$tel" \
         --trace-out "$tel/trace.json" >/dev/null
-    for artifact in telemetry.jsonl counters.csv spans.csv BENCH_telemetry.json trace.json; do
+    for artifact in telemetry.jsonl trace.json; do
         if [ ! -s "$tel/$artifact" ]; then
             echo "FAIL: $bin produced empty or missing $tel/$artifact" >&2
             exit 1
         fi
     done
+    extra=$(ls "$tel" | grep -vxE 'telemetry\.jsonl|trace\.json' || true)
+    if [ -n "$extra" ]; then
+        echo "FAIL: $bin wrote artifacts beside telemetry.jsonl: $extra" >&2
+        exit 1
+    fi
     # Any run that timed spans must have matching begin events in the
     # trace (table1_hyperparams runs no spans — just prints a table).
     if grep -q '"type":"span"' "$tel/telemetry.jsonl" \
