@@ -60,16 +60,12 @@ pub enum CheckpointError {
     /// A structural invariant of the format is violated (bad lengths,
     /// impossible counts, non-UTF-8 names, ...).
     Malformed(String),
-    /// The checkpoint was written under a different GEMM kernel mode
-    /// (strict vs fast-math) than the one active in this process. Resuming
-    /// across modes would silently diverge from both baselines, so the
-    /// trainer refuses instead of falling back to a fresh run.
-    KernelModeMismatch {
-        /// Mode recorded in the checkpoint (`strict` or `fast`).
-        saved: String,
-        /// Mode active in the resuming process.
-        active: String,
-    },
+    /// The checkpoint's `kernel_mode` section says its weights were
+    /// trained by the fast-math GEMM tier, which this build does not have.
+    /// Loading them under strict kernels would silently diverge from the
+    /// run that wrote them, so the trainer refuses instead of falling back
+    /// to a fresh run, and the serving daemon keeps its current policy.
+    KernelModeMismatch,
 }
 
 impl fmt::Display for CheckpointError {
@@ -92,10 +88,10 @@ impl fmt::Display for CheckpointError {
                 write!(f, "checkpoint is missing required section `{name}`")
             }
             CheckpointError::Malformed(what) => write!(f, "malformed checkpoint: {what}"),
-            CheckpointError::KernelModeMismatch { saved, active } => write!(
+            CheckpointError::KernelModeMismatch => write!(
                 f,
-                "checkpoint was written under kernel mode `{saved}` but this run uses \
-                 `{active}`; rerun with `--kernel-mode {saved}` or start a fresh run"
+                "checkpoint was written under kernel mode `fast`, which this build does \
+                 not have (it runs `strict`); start a fresh run"
             ),
         }
     }

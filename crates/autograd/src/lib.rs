@@ -44,20 +44,15 @@ mod graph;
 mod tensor;
 
 pub mod diagnostics;
-pub mod fastmath;
 pub mod loss;
 pub mod nn;
 pub mod optim;
 pub mod serialize;
 
 pub use error::{CheckpointError, TensorError};
-pub use fastmath::{
-    fast_math_compiled, gemm_threads, isa_name, kernel_mode, set_gemm_threads, set_kernel_mode,
-    FastMathUnavailable, KernelMode,
-};
 pub use graph::{copy_params, zero_grads, Graph, NodeId, Parameter};
 pub use optim::OptimizerState;
 pub use tensor::{
-    matmul, matmul_into, matmul_nt, matmul_nt_into, matmul_sparse_lhs, matmul_tn, matmul_tn_into,
-    Tensor, TensorPool,
+    isa_name, kernel_mode, matmul, matmul_into, matmul_nt, matmul_nt_into, matmul_sparse_lhs,
+    matmul_tn, matmul_tn_into, Tensor, TensorPool,
 };

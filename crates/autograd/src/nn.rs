@@ -261,8 +261,8 @@ impl Mlp {
     /// `pool.put(out.into_data())` to keep it that way). Every arithmetic
     /// step matches the graph ops exactly — the same [`matmul_into`]
     /// kernel dispatch, the same `x·W + b` addition order, the same
-    /// activation formulas — so under strict kernels the result is bitwise
-    /// identical to [`Mlp::infer`], and because each output element of the
+    /// activation formulas — so the result is bitwise identical to
+    /// [`Mlp::infer`], and because each output element of the
     /// matmul accumulates independently, row `r` of a `[batch, in]` call
     /// is bitwise identical to a `[1, in]` call on that row alone.
     ///

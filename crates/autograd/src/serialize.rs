@@ -494,6 +494,39 @@ pub fn require_section<'a>(
     find_section(sections, name).ok_or_else(|| CheckpointError::MissingSection(name.to_string()))
 }
 
+/// Name of the one-byte section recording the GEMM tier a trainer
+/// checkpoint's weights were trained under: 0 for strict, 1 for the
+/// retired fast-math tier.
+pub const KERNEL_MODE_SECTION: &str = "kernel_mode";
+
+/// The [`KERNEL_MODE_SECTION`] every trainer checkpoint carries: strict.
+pub fn kernel_mode_section() -> (String, Vec<u8>) {
+    (KERNEL_MODE_SECTION.to_string(), vec![0])
+}
+
+/// Checks that a checkpoint's weights were trained under strict kernels.
+/// Checkpoints written before the section existed carry none and are
+/// strict, as strict was then the only tier.
+///
+/// # Errors
+///
+/// [`CheckpointError::KernelModeMismatch`] when the section holds 1 (a
+/// fast-math checkpoint); [`CheckpointError::Malformed`] for any other
+/// byte or length.
+pub fn check_kernel_mode(sections: &[(String, Vec<u8>)]) -> Result<(), CheckpointError> {
+    match find_section(sections, KERNEL_MODE_SECTION) {
+        None | Some([0]) => Ok(()),
+        Some([1]) => Err(CheckpointError::KernelModeMismatch),
+        Some([byte]) => Err(CheckpointError::Malformed(format!(
+            "kernel_mode section has unknown mode byte {byte}"
+        ))),
+        Some(bytes) => Err(CheckpointError::Malformed(format!(
+            "kernel_mode section has {} bytes, expected 1",
+            bytes.len()
+        ))),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Parameter-list entry points (v2 writer, v1+v2 reader).
 // ---------------------------------------------------------------------------
@@ -573,6 +606,28 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("hero_autograd_test_{}_{name}", std::process::id()));
         p
+    }
+
+    #[test]
+    fn kernel_mode_section_accepts_strict_refuses_fast_and_rejects_junk() {
+        let with = |bytes: &[u8]| vec![(KERNEL_MODE_SECTION.to_string(), bytes.to_vec())];
+        assert!(
+            check_kernel_mode(&[]).is_ok(),
+            "absent: written before the section existed"
+        );
+        assert!(check_kernel_mode(&[kernel_mode_section()]).is_ok());
+        assert!(check_kernel_mode(&with(&[0])).is_ok());
+        assert!(matches!(
+            check_kernel_mode(&with(&[1])),
+            Err(CheckpointError::KernelModeMismatch)
+        ));
+        for junk in [&[2u8][..], &[255], &[], &[0, 0], &[1, 0]] {
+            let err = check_kernel_mode(&with(junk)).unwrap_err();
+            assert!(
+                matches!(&err, CheckpointError::Malformed(what) if what.contains("kernel_mode")),
+                "{junk:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -476,6 +476,24 @@ fn avx512_available() -> bool {
     false
 }
 
+/// The GEMM tier this build runs: always `"strict"`, the only tier.
+/// Results and the serving daemon's `/info` still carry it, so they stay
+/// comparable with ones stamped by builds that had a second tier.
+pub fn kernel_mode() -> &'static str {
+    "strict"
+}
+
+/// Name of the matmul instantiation this CPU dispatches to, `avx512f` or
+/// `portable`. Both produce the same bytes; recording the name makes
+/// throughput numbers comparable across hosts.
+pub fn isa_name() -> &'static str {
+    if avx512_available() {
+        "avx512f"
+    } else {
+        "portable"
+    }
+}
+
 /// Defines one instantiation of the register-tiled `C = A·B` driver.
 ///
 /// The body is plain safe Rust over fixed-size `MR`×`NR` tiles; the
@@ -638,11 +656,6 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Vec<f32>) {
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
     out.clear();
     out.resize(m * n, 0.0);
-    #[cfg(feature = "fast-math")]
-    if crate::fastmath::kernel_mode() == crate::fastmath::KernelMode::Fast {
-        crate::fastmath::gemm(crate::fastmath::Layout::Nn, &a.data, &b.data, out, m, k, n);
-        return;
-    }
     #[cfg(target_arch = "x86_64")]
     if avx512_available() {
         // SAFETY: avx512f support was verified at runtime.
@@ -684,13 +697,6 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut Vec<f32>) {
     assert_eq!(k, k2, "matmul_nt inner dimension mismatch: {k} vs {k2}");
     out.clear();
     out.resize(m * n, 0.0);
-    #[cfg(feature = "fast-math")]
-    if crate::fastmath::kernel_mode() == crate::fastmath::KernelMode::Fast {
-        // The fast tier packs B's rows directly into NR-column panels —
-        // no transpose materialization even in NT form.
-        crate::fastmath::gemm(crate::fastmath::Layout::Nt, &a.data, &b.data, out, m, k, n);
-        return;
-    }
     if k == 0 {
         return;
     }
@@ -751,11 +757,6 @@ pub fn matmul_tn_into(a: &Tensor, b: &Tensor, out: &mut Vec<f32>) {
     assert_eq!(k, k2, "matmul_tn inner dimension mismatch: {k} vs {k2}");
     out.clear();
     out.resize(m * n, 0.0);
-    #[cfg(feature = "fast-math")]
-    if crate::fastmath::kernel_mode() == crate::fastmath::KernelMode::Fast {
-        crate::fastmath::gemm(crate::fastmath::Layout::Tn, &a.data, &b.data, out, m, k, n);
-        return;
-    }
     #[cfg(target_arch = "x86_64")]
     if avx512_available() {
         // SAFETY: avx512f support was verified at runtime.
@@ -840,6 +841,17 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn one_hot_rejects_out_of_range() {
         let _ = Tensor::one_hot(&[3], 3);
+    }
+
+    #[test]
+    fn stamps_name_the_strict_instantiation_in_use() {
+        assert_eq!(kernel_mode(), "strict");
+        let expected = if avx512_available() {
+            "avx512f"
+        } else {
+            "portable"
+        };
+        assert_eq!(isa_name(), expected);
     }
 
     #[test]

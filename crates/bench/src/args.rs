@@ -1,18 +1,24 @@
-//! Minimal command-line parsing shared by the experiment binaries. Every
-//! binary accepts `--episodes N --eval-episodes N --seed S --out DIR
-//! --update-every K --batch-size N --skill-episodes N
-//! --telemetry-out DIR --trace-out FILE --metrics-addr HOST:PORT
-//! --paper-scale --checkpoint-every N --checkpoint-dir DIR
-//! --checkpoint-retain K --checkpoint-retry N --resume --fault-plan SPEC
-//! --actors N --batch-worlds N --stall-timeout-ms MS --max-respawns N
-//! --respawn-backoff-ms MS --kernel-mode strict|fast --gemm-threads N`.
+//! Minimal command-line parsing shared by the experiment binaries, which
+//! all accept the flags in `USAGE`. Flags are untrusted input: a
+//! malformed one is a typed error naming the flag and its value, reported
+//! before any training starts.
 
 use std::path::PathBuf;
+use std::str::FromStr;
 
-use hero_autograd::KernelMode;
 use hero_core::rollout::RolloutOptions;
 use hero_core::CheckpointConfig;
 use hero_faultplan::{FaultPlan, KillMode};
+
+/// The flags every experiment binary accepts, printed after a parse error.
+const USAGE: &str = "\
+flags: --episodes N --eval-episodes N --seed S --out DIR --update-every K
+       --batch-size N --skill-episodes N --paper-scale
+       --telemetry-out DIR --trace-out FILE --metrics-addr HOST:PORT
+       --checkpoint-every N --checkpoint-dir DIR --checkpoint-retain K
+       --checkpoint-retry N --resume --fault-plan SPEC
+       --actors N --batch-worlds N --stall-timeout-ms MS --max-respawns N
+       --respawn-backoff-ms MS";
 
 /// Parsed experiment arguments.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,9 +58,9 @@ pub struct ExperimentArgs {
     pub checkpoint_retain: usize,
     /// Resume from the newest valid checkpoint in `--checkpoint-dir`.
     pub resume: bool,
-    /// Unparsed fault-injection spec (see [`hero_faultplan::FaultPlan`]),
-    /// e.g. `kill@ep:3,truncate@save:1`.
-    pub fault_plan: Option<String>,
+    /// Fault-injection plan from `--fault-plan`, e.g.
+    /// `kill@ep:3,truncate@save:1` (empty when the flag is absent).
+    pub fault_plan: FaultPlan,
     /// Rollout actor threads for HERO training (`1` = the plain
     /// sequential loop unless `--batch-worlds` asks for more worlds).
     pub actors: usize,
@@ -74,14 +80,6 @@ pub struct ExperimentArgs {
     /// first attempt), with a deterministic exponential backoff counted
     /// under `checkpoint/retries`.
     pub checkpoint_retry: usize,
-    /// GEMM kernel tier: `strict` (default, bitwise-deterministic) or
-    /// `fast` (packed FMA kernels; requires a `--features fast-math`
-    /// build). Recorded in telemetry and checkpoint metadata — resuming a
-    /// checkpoint under the other mode is refused.
-    pub kernel_mode: KernelMode,
-    /// Thread budget for fast-tier GEMMs (ignored in strict mode; never
-    /// changes result bytes, only wall-clock).
-    pub gemm_threads: usize,
 }
 
 impl ExperimentArgs {
@@ -104,102 +102,72 @@ impl ExperimentArgs {
             checkpoint_dir: None,
             checkpoint_retain: 3,
             resume: false,
-            fault_plan: None,
+            fault_plan: FaultPlan::none(),
             actors: 1,
             batch_worlds: 1,
             stall_timeout_ms: 30_000,
             max_respawns: RolloutOptions::default().max_respawns,
             respawn_backoff_ms: RolloutOptions::default().respawn_backoff_ms,
             checkpoint_retry: hero_core::checkpoint::DEFAULT_SAVE_ATTEMPTS - 1,
-            kernel_mode: KernelMode::Strict,
-            gemm_threads: 1,
         }
     }
 
     /// Parses `std::env::args`-style strings after the program name.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed flags.
-    pub fn parse(defaults: Self, args: impl IntoIterator<Item = String>) -> Self {
+    /// A message naming the flag and the offending value when a flag is
+    /// unknown, lacks its value, has a value that does not parse, or (for
+    /// `--fault-plan`) names an invalid plan.
+    pub fn parse(defaults: Self, args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = defaults;
         let mut iter = args.into_iter();
         while let Some(flag) = iter.next() {
-            let mut value = |name: &str| {
-                iter.next()
-                    .unwrap_or_else(|| panic!("flag {name} requires a value"))
-            };
+            let mut value = || iter.next().ok_or_else(|| format!("flag {flag} requires a value"));
             match flag.as_str() {
-                "--episodes" => out.episodes = value("--episodes").parse().expect("usize"),
-                "--eval-episodes" => {
-                    out.eval_episodes = value("--eval-episodes").parse().expect("usize")
-                }
-                "--seed" => out.seed = value("--seed").parse().expect("u64"),
-                "--out" => out.out = PathBuf::from(value("--out")),
-                "--update-every" => {
-                    out.update_every = value("--update-every").parse().expect("usize")
-                }
-                "--batch-size" => out.batch_size = value("--batch-size").parse().expect("usize"),
-                "--skill-episodes" => {
-                    out.skill_episodes = value("--skill-episodes").parse().expect("usize")
-                }
-                "--telemetry-out" => {
-                    out.telemetry_out = Some(PathBuf::from(value("--telemetry-out")))
-                }
-                "--trace-out" => out.trace_out = Some(PathBuf::from(value("--trace-out"))),
-                "--metrics-addr" => out.metrics_addr = Some(value("--metrics-addr")),
-                "--checkpoint-every" => {
-                    out.checkpoint_every = value("--checkpoint-every").parse().expect("usize")
-                }
-                "--checkpoint-dir" => {
-                    out.checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")))
-                }
-                "--checkpoint-retain" => {
-                    out.checkpoint_retain = value("--checkpoint-retain").parse().expect("usize")
-                }
+                "--episodes" => out.episodes = number(&flag, value()?)?,
+                "--eval-episodes" => out.eval_episodes = number(&flag, value()?)?,
+                "--seed" => out.seed = number(&flag, value()?)?,
+                "--out" => out.out = PathBuf::from(value()?),
+                "--update-every" => out.update_every = number(&flag, value()?)?,
+                "--batch-size" => out.batch_size = number(&flag, value()?)?,
+                "--skill-episodes" => out.skill_episodes = number(&flag, value()?)?,
+                "--telemetry-out" => out.telemetry_out = Some(PathBuf::from(value()?)),
+                "--trace-out" => out.trace_out = Some(PathBuf::from(value()?)),
+                "--metrics-addr" => out.metrics_addr = Some(value()?),
+                "--checkpoint-every" => out.checkpoint_every = number(&flag, value()?)?,
+                "--checkpoint-dir" => out.checkpoint_dir = Some(PathBuf::from(value()?)),
+                "--checkpoint-retain" => out.checkpoint_retain = number(&flag, value()?)?,
                 "--resume" => out.resume = true,
-                "--fault-plan" => out.fault_plan = Some(value("--fault-plan")),
-                "--actors" => out.actors = value("--actors").parse().expect("usize"),
-                "--batch-worlds" => {
-                    out.batch_worlds = value("--batch-worlds").parse().expect("usize")
+                "--fault-plan" => {
+                    let spec = value()?;
+                    out.fault_plan = FaultPlan::parse(&spec)
+                        .map_err(|e| format!("invalid --fault-plan {spec:?}: {e}"))?;
                 }
-                "--stall-timeout-ms" => {
-                    out.stall_timeout_ms = value("--stall-timeout-ms").parse().expect("u64")
-                }
-                "--max-respawns" => {
-                    out.max_respawns = value("--max-respawns").parse().expect("usize")
-                }
-                "--respawn-backoff-ms" => {
-                    out.respawn_backoff_ms = value("--respawn-backoff-ms").parse().expect("u64")
-                }
-                "--checkpoint-retry" => {
-                    out.checkpoint_retry = value("--checkpoint-retry").parse().expect("usize")
-                }
-                "--kernel-mode" => {
-                    let raw = value("--kernel-mode");
-                    out.kernel_mode = raw
-                        .parse()
-                        .unwrap_or_else(|e| panic!("--kernel-mode {raw}: {e}"));
-                }
-                "--gemm-threads" => {
-                    out.gemm_threads = value("--gemm-threads").parse().expect("usize")
-                }
+                "--actors" => out.actors = number(&flag, value()?)?,
+                "--batch-worlds" => out.batch_worlds = number(&flag, value()?)?,
+                "--stall-timeout-ms" => out.stall_timeout_ms = number(&flag, value()?)?,
+                "--max-respawns" => out.max_respawns = number(&flag, value()?)?,
+                "--respawn-backoff-ms" => out.respawn_backoff_ms = number(&flag, value()?)?,
+                "--checkpoint-retry" => out.checkpoint_retry = number(&flag, value()?)?,
                 "--paper-scale" => {
                     out.episodes = 14_000;
                     out.batch_size = 1024;
                     out.update_every = 1;
                 }
-                other => panic!(
-                    "unknown flag {other}; expected --episodes/--eval-episodes/--seed/--out/--update-every/--batch-size/--skill-episodes/--telemetry-out/--trace-out/--metrics-addr/--checkpoint-every/--checkpoint-dir/--checkpoint-retain/--resume/--fault-plan/--actors/--batch-worlds/--stall-timeout-ms/--max-respawns/--respawn-backoff-ms/--checkpoint-retry/--kernel-mode/--gemm-threads/--paper-scale"
-                ),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
-        out
+        Ok(out)
     }
 
-    /// Parses the current process arguments.
+    /// Parses the current process arguments. A malformed flag prints the
+    /// error and the flag list to stderr and exits with status 2.
     pub fn from_env(defaults: Self) -> Self {
-        Self::parse(defaults, std::env::args().skip(1))
+        Self::parse(defaults, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
     }
 
     /// Builds the [`CheckpointConfig`] for one training run. `scope`
@@ -207,22 +175,13 @@ impl ExperimentArgs {
     /// each method under `<checkpoint-dir>/<scope>`). Kills from the
     /// fault plan terminate the whole process with exit code 137 so CI
     /// can distinguish an injected crash from a real failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the parse error when `--fault-plan` is malformed.
     pub fn checkpoint_config(&self, scope: &str) -> CheckpointConfig {
-        let fault_plan = match &self.fault_plan {
-            Some(spec) => FaultPlan::parse(spec)
-                .unwrap_or_else(|e| panic!("invalid --fault-plan {spec:?}: {e}")),
-            None => FaultPlan::none(),
-        };
         CheckpointConfig {
             every: self.checkpoint_every,
             dir: self.checkpoint_dir.as_ref().map(|d| d.join(scope)),
             resume: self.resume,
             retain: self.checkpoint_retain,
-            fault_plan,
+            fault_plan: self.fault_plan.clone(),
             kill_mode: KillMode::Exit,
             save_attempts: self.checkpoint_retry + 1,
             ..CheckpointConfig::default()
@@ -243,29 +202,6 @@ impl ExperimentArgs {
         }
     }
 
-    /// Applies `--kernel-mode` / `--gemm-threads` to the process-global
-    /// kernel dispatch (call once per binary, after
-    /// [`crate::init_telemetry`] so the mode is visible in the run's
-    /// telemetry). In fast mode, emits `kernel/fast_math` and
-    /// `kernel/gemm_threads` counters; strict mode emits nothing so
-    /// strict goldens are unaffected.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `--kernel-mode fast` is requested in a build compiled
-    /// without the `fast-math` cargo feature — a run that silently fell
-    /// back to strict would corrupt the bench trajectory.
-    pub fn apply_kernel_mode(&self) {
-        hero_autograd::set_gemm_threads(self.gemm_threads);
-        if let Err(e) = hero_autograd::set_kernel_mode(self.kernel_mode) {
-            panic!("--kernel-mode {}: {e}", self.kernel_mode);
-        }
-        if self.kernel_mode == KernelMode::Fast {
-            hero_rl::telemetry::counter_add("kernel/fast_math", 1);
-            hero_rl::telemetry::counter_add("kernel/gemm_threads", self.gemm_threads.max(1) as u64);
-        }
-    }
-
     /// Ensures the output directory exists and returns the path of a file
     /// inside it.
     ///
@@ -276,6 +212,12 @@ impl ExperimentArgs {
         std::fs::create_dir_all(&self.out).expect("create output directory");
         self.out.join(name)
     }
+}
+
+/// Parses `raw`, the value given to `flag`, as a number.
+fn number<T: FromStr>(flag: &str, raw: String) -> Result<T, String> {
+    raw.parse()
+        .map_err(|_| format!("flag {flag} expects a non-negative integer, got {raw:?}"))
 }
 
 #[cfg(test)]
@@ -291,7 +233,7 @@ mod tests {
         let a = ExperimentArgs::parse(
             ExperimentArgs::defaults(100),
             strs(&["--episodes", "5", "--seed", "9", "--out", "/tmp/x"]),
-        );
+        ).unwrap();
         assert_eq!(a.episodes, 5);
         assert_eq!(a.seed, 9);
         assert_eq!(a.out, PathBuf::from("/tmp/x"));
@@ -304,7 +246,7 @@ mod tests {
         let a = ExperimentArgs::parse(
             ExperimentArgs::defaults(100),
             strs(&["--telemetry-out", "/tmp/tel", "--skill-episodes", "3"]),
-        );
+        ).unwrap();
         assert_eq!(a.telemetry_out, Some(PathBuf::from("/tmp/tel")));
         assert_eq!(a.trace_out, None, "trace capture stays off by default");
         assert_eq!(a.skill_episodes, 3);
@@ -315,7 +257,7 @@ mod tests {
         let a = ExperimentArgs::parse(
             ExperimentArgs::defaults(100),
             strs(&["--trace-out", "/tmp/tel/trace.json"]),
-        );
+        ).unwrap();
         assert_eq!(a.trace_out, Some(PathBuf::from("/tmp/tel/trace.json")));
         assert_eq!(a.telemetry_out, None);
     }
@@ -327,7 +269,7 @@ mod tests {
         let a = ExperimentArgs::parse(
             ExperimentArgs::defaults(100),
             strs(&["--metrics-addr", "127.0.0.1:0"]),
-        );
+        ).unwrap();
         assert_eq!(a.metrics_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(a.telemetry_out, None);
         assert_eq!(a.trace_out, None);
@@ -335,7 +277,7 @@ mod tests {
 
     #[test]
     fn paper_scale_sets_table_one_budget() {
-        let a = ExperimentArgs::parse(ExperimentArgs::defaults(100), strs(&["--paper-scale"]));
+        let a = ExperimentArgs::parse(ExperimentArgs::defaults(100), strs(&["--paper-scale"])).unwrap();
         assert_eq!(a.episodes, 14_000);
         assert_eq!(a.batch_size, 1024);
         assert_eq!(a.update_every, 1);
@@ -350,7 +292,7 @@ mod tests {
         let a = ExperimentArgs::parse(
             ExperimentArgs::defaults(10),
             strs(&["--actors", "3", "--batch-worlds", "4"]),
-        );
+        ).unwrap();
         let ro = a.rollout_options();
         assert_eq!(ro.actors, 3);
         assert_eq!(ro.batch_worlds, 4);
@@ -373,7 +315,7 @@ mod tests {
                 "--respawn-backoff-ms",
                 "0",
             ]),
-        );
+        ).unwrap();
         let ro = a.rollout_options();
         assert_eq!(ro.stall_timeout, std::time::Duration::from_millis(250));
         assert_eq!(ro.max_respawns, 5);
@@ -382,7 +324,7 @@ mod tests {
         let z = ExperimentArgs::parse(
             ExperimentArgs::defaults(10),
             strs(&["--stall-timeout-ms", "0"]),
-        );
+        ).unwrap();
         assert_eq!(z.rollout_options().stall_timeout, std::time::Duration::from_millis(1));
     }
 
@@ -397,58 +339,14 @@ mod tests {
         let a = ExperimentArgs::parse(
             ExperimentArgs::defaults(10),
             strs(&["--checkpoint-retry", "4"]),
-        );
+        ).unwrap();
         assert_eq!(a.checkpoint_retry, 4);
         assert_eq!(a.checkpoint_config("HERO").save_attempts, 5, "N retries = N + 1 attempts");
         let none = ExperimentArgs::parse(
             ExperimentArgs::defaults(10),
             strs(&["--checkpoint-retry", "0"]),
-        );
+        ).unwrap();
         assert_eq!(none.checkpoint_config("HERO").save_attempts, 1, "0 = single attempt");
-    }
-
-    #[test]
-    fn kernel_mode_flags_parse_and_default_to_strict() {
-        let d = ExperimentArgs::defaults(10);
-        assert_eq!(d.kernel_mode, KernelMode::Strict);
-        assert_eq!(d.gemm_threads, 1);
-        let a = ExperimentArgs::parse(
-            ExperimentArgs::defaults(10),
-            strs(&["--kernel-mode", "fast", "--gemm-threads", "4"]),
-        );
-        assert_eq!(a.kernel_mode, KernelMode::Fast);
-        assert_eq!(a.gemm_threads, 4);
-        let s = ExperimentArgs::parse(
-            ExperimentArgs::defaults(10),
-            strs(&["--kernel-mode", "strict"]),
-        );
-        assert_eq!(s.kernel_mode, KernelMode::Strict);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown kernel mode")]
-    fn bogus_kernel_mode_rejected() {
-        ExperimentArgs::parse(
-            ExperimentArgs::defaults(1),
-            strs(&["--kernel-mode", "loose"]),
-        );
-    }
-
-    #[cfg(not(feature = "fast-math"))]
-    #[test]
-    #[should_panic(expected = "fast-math kernels are not compiled")]
-    fn fast_mode_without_feature_fails_loudly() {
-        let a = ExperimentArgs::parse(
-            ExperimentArgs::defaults(1),
-            strs(&["--kernel-mode", "fast"]),
-        );
-        a.apply_kernel_mode();
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown flag")]
-    fn unknown_flag_rejected() {
-        ExperimentArgs::parse(ExperimentArgs::defaults(1), strs(&["--bogus"]));
     }
 
     #[test]
@@ -466,7 +364,7 @@ mod tests {
                 "--fault-plan",
                 "kill@ep:3,truncate@save:1",
             ]),
-        );
+        ).unwrap();
         assert_eq!(a.checkpoint_every, 2);
         assert_eq!(a.checkpoint_dir, Some(PathBuf::from("/tmp/ckpts")));
         assert!(a.resume);
@@ -490,12 +388,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid --fault-plan")]
-    fn malformed_fault_plan_rejected() {
-        let a = ExperimentArgs::parse(
-            ExperimentArgs::defaults(1),
-            strs(&["--fault-plan", "explode@never"]),
-        );
-        a.checkpoint_config("HERO");
+    fn malformed_flags_are_errors_naming_the_flag_and_value() {
+        for (args, needles) in [
+            (&["--episodes"][..], &["--episodes", "requires a value"][..]),
+            (&["--episodes", "abc"], &["--episodes", "\"abc\""]),
+            (&["--seed", "-1"], &["--seed", "\"-1\""]),
+            (&["--bogus"], &["unknown flag --bogus"]),
+            (&["--fault-plan", "bogus"], &["--fault-plan", "\"bogus\""]),
+        ] {
+            let err = ExperimentArgs::parse(ExperimentArgs::defaults(1), strs(args)).unwrap_err();
+            for needle in needles {
+                assert!(err.contains(needle), "{args:?}: {err:?} lacks {needle:?}");
+            }
+        }
     }
 }

@@ -125,7 +125,6 @@ fn run_flat<W: CooperativeWorld>(
 fn main() {
     let args = ExperimentArgs::from_env(ExperimentArgs::defaults(600));
     let _telemetry = hero_bench::init_telemetry(&args, "abl_hierarchy");
-    args.apply_kernel_mode();
     let env_cfg = EnvConfig::default();
     let mut combined = Recorder::new();
     println!(

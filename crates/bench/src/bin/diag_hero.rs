@@ -13,7 +13,6 @@ use rand::SeedableRng;
 fn main() {
     let args = ExperimentArgs::from_env(ExperimentArgs::defaults(100));
     let _telemetry = hero_bench::init_telemetry(&args, "diag");
-    args.apply_kernel_mode();
     let env_cfg = EnvConfig::default();
     let skills = load_or_train_skills(&args, env_cfg);
     let _ = &skills;

@@ -18,7 +18,6 @@ use hero_sim::scenario;
 fn main() {
     let args = ExperimentArgs::from_env(ExperimentArgs::defaults(600));
     let _telemetry = hero_bench::init_telemetry(&args, "fig7");
-    args.apply_kernel_mode();
     let env_cfg = EnvConfig::default();
     let skills = load_or_train_skills(&args, env_cfg);
     let hero_cfg = HeroConfig::default();

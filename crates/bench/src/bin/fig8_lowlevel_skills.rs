@@ -15,7 +15,6 @@ use hero_sim::env::EnvConfig;
 fn main() {
     let args = ExperimentArgs::from_env(ExperimentArgs::defaults(1_500));
     let _telemetry = hero_bench::init_telemetry(&args, "fig8");
-    args.apply_kernel_mode();
     let cfg = SkillTrainingConfig {
         vision: false,
         episodes: args.episodes,

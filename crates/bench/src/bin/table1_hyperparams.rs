@@ -8,7 +8,6 @@ use hero_core::config::HeroConfig;
 fn main() {
     let args = ExperimentArgs::from_env(ExperimentArgs::defaults(1));
     let _telemetry = hero_bench::init_telemetry(&args, "table1");
-    args.apply_kernel_mode();
     let c = HeroConfig::default();
     println!("Table I: Hyperparameters for Training (paper vs this reproduction)");
     println!("{:<32} {:>10} {:>12}", "Hyperparameter", "Paper", "Ours");

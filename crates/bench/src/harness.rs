@@ -411,7 +411,7 @@ pub fn exit_on_train_error<T>(result: Result<T, TrainError>) -> T {
 ///
 /// # Errors
 ///
-/// Propagates [`TrainError`] from the HERO trainer (a refused cross-mode
+/// Propagates [`TrainError`] from the HERO trainer (a refused fast-math
 /// resume); the baselines cannot fail typed.
 pub fn train_policy_checkpointed<W: CooperativeWorld>(
     policy: &mut TrainedPolicy,
@@ -459,7 +459,7 @@ pub fn train_policy_checkpointed<W: CooperativeWorld>(
 ///
 /// # Errors
 ///
-/// Propagates [`TrainError`] from the engine: a refused cross-mode
+/// Propagates [`TrainError`] from the engine: a refused fast-math
 /// resume, or a lost actor fleet after the respawn budget is exhausted.
 #[allow(clippy::too_many_arguments)]
 pub fn train_policy_distributed(

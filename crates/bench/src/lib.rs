@@ -29,7 +29,9 @@
 //! `--metrics-addr HOST:PORT` serves the live registry over HTTP for the
 //! lifetime of the run (`GET /metrics` Prometheus text format,
 //! `GET /snapshot` JSONL — scrape with `hero-inspect watch HOST:PORT`),
-//! with the bound address written to `<out>/metrics_addr`.
+//! with the bound address written to `<out>/metrics_addr`. A malformed
+//! flag exits with status 2 before any work starts, naming the flag and
+//! its value.
 //!
 //! Crash-safe training: `--checkpoint-every N --checkpoint-dir DIR`
 //! snapshots the full HERO trainer state every `N` episodes into a
@@ -46,15 +48,6 @@
 //! the sequential trainer for any `N`; with `M > 1` episodes interleave
 //! across `N×M` worlds for throughput (self-reproducible, resumable).
 //! HERO only — the flat baselines ignore both flags.
-//!
-//! Kernel tiers: `--kernel-mode strict` (default) keeps the bitwise
-//! determinism contract; `--kernel-mode fast` (requires a
-//! `--features fast-math` build) dispatches the packed FMA GEMM tier,
-//! with `--gemm-threads N` row-parallelism — run-to-run reproducible but
-//! differing from strict at the ULP, so fast runs diff against the
-//! fast-math golden with `hero-inspect diff --rtol`. The mode is recorded
-//! in telemetry (`kernel/*` counters, fast mode only) and in checkpoint
-//! metadata; resuming a checkpoint under the other mode is refused.
 
 #![warn(missing_docs)]
 

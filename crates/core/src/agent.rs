@@ -198,10 +198,9 @@ impl HeroAgent {
 
     /// [`HeroAgent::batch_logits`] through the inference-only forward
     /// path: no autodiff graphs, activations recycled via `pool`. This is
-    /// the serving daemon's hot path — under strict kernels the logits
-    /// are bitwise identical to [`HeroAgent::batch_logits`], and row `r`
-    /// of an `[n, d]` batch is bitwise identical to a 1-row call on
-    /// `rows[r]` alone.
+    /// the serving daemon's hot path — the logits are bitwise identical
+    /// to [`HeroAgent::batch_logits`], and row `r` of an `[n, d]` batch is
+    /// bitwise identical to a 1-row call on `rows[r]` alone.
     ///
     /// # Panics
     ///

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use hero_autograd::serialize;
-use hero_autograd::{CheckpointError, KernelMode};
+use hero_autograd::CheckpointError;
 use hero_faultplan::FaultPlan;
 use hero_rl::metrics::Recorder;
 use hero_rl::snapshot::{self, Codec};
@@ -76,12 +76,6 @@ pub struct TrainerSnapshot {
     pub telemetry: Option<RegistryState>,
     /// Per-world rollout state (batched actor/learner runs only).
     pub workers: Option<WorkerStates>,
-    /// GEMM kernel mode active when the snapshot was taken. Resuming
-    /// under a different mode is refused (see
-    /// [`TrainerSnapshot::verify_kernel_mode`]): the restored network
-    /// would immediately diverge from both the strict and the fast-math
-    /// baseline, which no golden could catch.
-    pub kernel_mode: KernelMode,
     /// Opaque team sections (`team/*`, `agent<k>/*`).
     pub team_sections: Vec<(String, Vec<u8>)>,
 }
@@ -116,7 +110,7 @@ impl TrainerSnapshot {
             workers.last_options.encode(&mut blob);
             sections.push(("workers".to_string(), blob));
         }
-        sections.push(("kernel_mode".to_string(), vec![self.kernel_mode.to_byte()]));
+        sections.push(serialize::kernel_mode_section());
         sections.extend(self.team_sections.iter().cloned());
         sections
     }
@@ -126,7 +120,9 @@ impl TrainerSnapshot {
     /// # Errors
     ///
     /// Returns [`CheckpointError`] when required sections are missing or
-    /// malformed, or the snapshot version is unknown.
+    /// malformed, or the snapshot version is unknown, and
+    /// [`CheckpointError::KernelModeMismatch`] for a fast-math checkpoint
+    /// (see [`serialize::check_kernel_mode`]).
     pub fn from_sections(sections: &[(String, Vec<u8>)]) -> Result<Self, CheckpointError> {
         let malformed = |what: String| CheckpointError::Malformed(what);
 
@@ -186,21 +182,7 @@ impl TrainerSnapshot {
             None => None,
         };
 
-        // Optional for backward compatibility: checkpoints written before
-        // the fast-math tier carry no section and are strict by
-        // definition (strict was the only mode that existed).
-        let kernel_mode = match serialize::find_section(sections, "kernel_mode") {
-            Some([byte]) => KernelMode::from_byte(*byte).ok_or_else(|| {
-                malformed(format!("kernel_mode section has unknown mode byte {byte}"))
-            })?,
-            Some(bytes) => {
-                return Err(malformed(format!(
-                    "kernel_mode section has {} bytes, expected 1",
-                    bytes.len()
-                )))
-            }
-            None => KernelMode::Strict,
-        };
+        serialize::check_kernel_mode(sections)?;
 
         let team_sections: Vec<(String, Vec<u8>)> = sections
             .iter()
@@ -217,29 +199,8 @@ impl TrainerSnapshot {
             recorder,
             telemetry,
             workers,
-            kernel_mode,
             team_sections,
         })
-    }
-
-    /// Checks the snapshot's recorded kernel mode against the mode active
-    /// in this process.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::KernelModeMismatch`] when they differ.
-    /// Callers must treat this as fatal rather than falling back to a
-    /// fresh run: a silent cross-mode resume diverges from every golden
-    /// baseline while looking healthy.
-    pub fn verify_kernel_mode(&self) -> Result<(), CheckpointError> {
-        let active = hero_autograd::kernel_mode();
-        if self.kernel_mode != active {
-            return Err(CheckpointError::KernelModeMismatch {
-                saved: self.kernel_mode.as_str().to_string(),
-                active: active.as_str().to_string(),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -490,7 +451,6 @@ mod tests {
             recorder,
             telemetry: None,
             workers: None,
-            kernel_mode: KernelMode::Strict,
             team_sections: vec![
                 ("team/last_options".to_string(), vec![9, 9]),
                 ("agent0/bookkeeping".to_string(), vec![1]),
@@ -521,7 +481,6 @@ mod tests {
                 rngs: vec![vec![5, 6, 7, 8], vec![9, 10, 11, 12]],
                 last_options: vec![vec![0, 2], vec![1, 1]],
             }),
-            kernel_mode: KernelMode::Strict,
             team_sections: Vec::new(),
         };
         let back = TrainerSnapshot::from_sections(&snap.to_sections()).unwrap();

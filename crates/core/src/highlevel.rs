@@ -162,7 +162,7 @@ impl HighLevelLearner {
 
     /// [`HighLevelLearner::logits_batch`] through the inference-only
     /// forward path: no autodiff graph, actor activations recycled via
-    /// `pool`. Bitwise identical to the graph path under strict kernels.
+    /// `pool`. Bitwise identical to the graph path.
     pub fn logits_batch_in(
         &self,
         obs: &Tensor,

@@ -126,7 +126,7 @@ impl<'a> LearnerCore<'a> {
     /// # Errors
     ///
     /// [`TrainError::ResumeRefused`] when the newest checkpoint was written
-    /// under another kernel mode; corrupt or unreadable checkpoints fall
+    /// by the fast-math kernel tier; corrupt or unreadable checkpoints fall
     /// back to a fresh start instead.
     pub(crate) fn start<W: CooperativeWorld>(
         team: &'a mut HeroTeam,
@@ -170,7 +170,6 @@ impl<'a> LearnerCore<'a> {
             }
         };
         let restored = TrainerSnapshot::from_sections(&loaded.sections)
-            .and_then(|snap| snap.verify_kernel_mode().map(|()| snap))
             .and_then(|snap| self.team.load_state(&snap.team_sections).map(|()| snap));
         match restored {
             Ok(snap) => {
@@ -195,11 +194,11 @@ impl<'a> LearnerCore<'a> {
                 self.start_episode = snap.next_episode;
                 Ok(snap.workers)
             }
-            Err(e @ CheckpointError::KernelModeMismatch { .. }) => {
-                // A cross-mode resume would diverge from every golden while
-                // looking healthy; starting fresh would silently discard the
-                // run. Refuse with a typed error the binary turns into
-                // exit 1.
+            Err(e @ CheckpointError::KernelModeMismatch) => {
+                // Fast-math weights under strict kernels would diverge from
+                // the run that wrote them while looking healthy; starting
+                // fresh would silently discard the run. Refuse with a typed
+                // error the binary turns into exit 1.
                 telemetry::progress(&format!("refusing to resume: {e}"));
                 let _ = telemetry::flush();
                 Err(TrainError::ResumeRefused(e))
@@ -355,7 +354,6 @@ impl<'a> LearnerCore<'a> {
             recorder: self.rec.clone(),
             telemetry: telemetry::export_state(),
             workers,
-            kernel_mode: hero_autograd::kernel_mode(),
             team_sections: self.team.save_state(),
         };
         store.save(&snap.to_sections(), &self.ckpt.fault_plan)

@@ -160,8 +160,8 @@ impl OpponentModel {
 
     /// [`OpponentModel::predict_probs_batch`] through the inference-only
     /// forward path: no autodiff graph, activations recycled via `pool`.
-    /// Bitwise identical to the graph path under strict kernels
-    /// ([`Mlp::infer_in`] replicates the tape ops' arithmetic exactly).
+    /// Bitwise identical to the graph path ([`Mlp::infer_in`] replicates
+    /// the tape ops' arithmetic exactly).
     pub fn predict_probs_batch_in(&self, obs: &Tensor, pool: &mut TensorPool) -> Vec<Tensor> {
         let n = obs.shape()[0];
         if !self.informative {

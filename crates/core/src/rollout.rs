@@ -1203,7 +1203,7 @@ fn batched_run(
 /// # Errors
 ///
 /// [`TrainError::ResumeRefused`] when `--resume` finds a checkpoint from
-/// an incompatible kernel mode, and [`TrainError::FleetLost`] when every
+/// the fast-math kernel tier, and [`TrainError::FleetLost`] when every
 /// actor slot is dead with the respawn budget exhausted.
 pub fn train_team_actor_learner(
     team: &mut HeroTeam,

@@ -507,8 +507,8 @@ pub fn train_team<W: CooperativeWorld>(
 /// panicking with a backtrace.
 #[derive(Debug)]
 pub enum TrainError {
-    /// Resuming from the checkpoint directory was refused (e.g. the
-    /// checkpoint was written under a different GEMM kernel mode).
+    /// Resuming from the checkpoint directory was refused (the checkpoint
+    /// was written by the fast-math GEMM tier this build does not have).
     /// Starting fresh would silently discard the run, so the caller must
     /// decide.
     ResumeRefused(hero_autograd::CheckpointError),
@@ -634,7 +634,7 @@ pub struct TrainOutcome {
 /// # Errors
 ///
 /// [`TrainError::ResumeRefused`] when `ckpt.resume` finds a checkpoint
-/// that must not be resumed (kernel-mode mismatch); corrupt checkpoints
+/// that must not be resumed (a fast-math checkpoint); corrupt checkpoints
 /// fall back or start fresh instead.
 pub fn train_team_checkpointed<W: CooperativeWorld>(
     team: &mut HeroTeam,

@@ -1,103 +1,29 @@
-//! Checkpoint kernel-mode refusal: a checkpoint written under one GEMM
-//! tier must not resume under the other (DESIGN.md "Performance →
-//! Fast-math tier"). A cross-mode resume would diverge from both golden
-//! baselines while looking perfectly healthy, and falling back to a
-//! fresh run would silently discard the checkpointed progress — so the
-//! trainer fails loudly with a typed [`CheckpointError`].
+//! Checkpoint kernel-mode refusal. Every trainer checkpoint carries a
+//! one-byte `kernel_mode` section holding 0 (strict). A section holding 1
+//! marks weights trained by the retired fast-math GEMM tier: resuming
+//! them under strict kernels would diverge from the run that wrote them
+//! while looking perfectly healthy, and falling back to a fresh run would
+//! silently discard the checkpointed progress — so the trainer fails
+//! loudly with a typed [`TrainError::ResumeRefused`].
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use hero_autograd::{CheckpointError, KernelMode};
+use hero_autograd::serialize::{find_section, KERNEL_MODE_SECTION};
+use hero_autograd::CheckpointError;
 use hero_baselines::sac::SacConfig;
 use hero_core::checkpoint::{CheckpointStore, TrainerSnapshot};
-use hero_core::trainer::{train_team_checkpointed, CheckpointConfig, HeroTeam, TrainOptions};
+use hero_core::trainer::{
+    train_team_checkpointed, CheckpointConfig, HeroTeam, TrainError, TrainOptions,
+};
 use hero_core::{HeroConfig, SkillLibrary};
 use hero_faultplan::FaultPlan;
 use hero_rl::metrics::Recorder;
-use hero_sim::env::EnvConfig;
+use hero_sim::env::{EnvConfig, LaneChangeEnv};
 use hero_sim::scenario;
 
-/// Serializes tests that read or flip the process-global kernel mode.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    MODE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-fn snapshot(kernel_mode: KernelMode) -> TrainerSnapshot {
-    TrainerSnapshot {
-        next_episode: 2,
-        step_counter: 16,
-        update_counter: 16,
-        trainer_rng: [1, 2, 3, 4],
-        env_rng: vec![5, 6, 7, 8],
-        recorder: Recorder::new(),
-        telemetry: None,
-        workers: None,
-        kernel_mode,
-        team_sections: Vec::new(),
-    }
-}
-
-#[test]
-fn kernel_mode_roundtrips_through_sections() {
-    for mode in [KernelMode::Strict, KernelMode::Fast] {
-        let back = TrainerSnapshot::from_sections(&snapshot(mode).to_sections()).unwrap();
-        assert_eq!(back.kernel_mode, mode);
-    }
-}
-
-#[test]
-fn missing_kernel_mode_section_means_strict() {
-    // Checkpoints written before the fast-math tier carry no section;
-    // strict was the only mode that existed.
-    let sections: Vec<_> = snapshot(KernelMode::Fast)
-        .to_sections()
-        .into_iter()
-        .filter(|(name, _)| name != "kernel_mode")
-        .collect();
-    let back = TrainerSnapshot::from_sections(&sections).unwrap();
-    assert_eq!(back.kernel_mode, KernelMode::Strict);
-}
-
-#[test]
-fn unknown_mode_byte_is_malformed() {
-    let mut sections = snapshot(KernelMode::Strict).to_sections();
-    for (name, bytes) in &mut sections {
-        if name == "kernel_mode" {
-            bytes[0] = 9;
-        }
-    }
-    let err = TrainerSnapshot::from_sections(&sections).unwrap_err();
-    assert!(
-        matches!(&err, CheckpointError::Malformed(what) if what.contains("kernel_mode")),
-        "{err}"
-    );
-}
-
-#[test]
-fn verify_refuses_cross_mode_and_accepts_matching() {
-    let _guard = lock();
-    // The active mode in an untouched process is strict.
-    assert_eq!(hero_autograd::kernel_mode(), KernelMode::Strict);
-    snapshot(KernelMode::Strict).verify_kernel_mode().unwrap();
-    let err = snapshot(KernelMode::Fast).verify_kernel_mode().unwrap_err();
-    match &err {
-        CheckpointError::KernelModeMismatch { saved, active } => {
-            assert_eq!(saved, "fast");
-            assert_eq!(active, "strict");
-        }
-        other => panic!("expected KernelModeMismatch, got {other}"),
-    }
-    let msg = err.to_string();
-    assert!(msg.contains("fast") && msg.contains("strict"), "{msg}");
-}
-
-/// Runs a tiny resuming training job against `dir` and returns the
-/// typed refusal's message, if any. A cross-mode resume surfaces as
-/// [`hero_core::trainer::TrainError::ResumeRefused`] — no panic, so
-/// binaries can exit nonzero with the message instead of a backtrace.
-fn resume_outcome(dir: &std::path::Path) -> Result<(), String> {
+/// The tiny team and world every test trains; a resume rebuilds the same
+/// pair and restores the checkpoint into it.
+fn fixture() -> (HeroTeam, LaneChangeEnv) {
     let env_cfg = EnvConfig {
         max_steps: 4,
         ..EnvConfig::default()
@@ -116,9 +42,77 @@ fn resume_outcome(dir: &std::path::Path) -> Result<(), String> {
         warmup: 8,
         ..HeroConfig::default()
     };
-    let mut team = HeroTeam::new(2, env_cfg.high_dim(), skills, cfg, 1);
-    let mut env = scenario::two_vehicle_merge(env_cfg, 3);
-    train_team_checkpointed(
+    let team = HeroTeam::new(2, env_cfg.high_dim(), skills, cfg, 1);
+    (team, scenario::two_vehicle_merge(env_cfg, 3))
+}
+
+/// A checkpoint of [`fixture`] two episodes in, as the trainer writes it.
+fn snapshot() -> TrainerSnapshot {
+    let (team, _) = fixture();
+    TrainerSnapshot {
+        next_episode: 2,
+        step_counter: 16,
+        update_counter: 16,
+        trainer_rng: [1, 2, 3, 4],
+        env_rng: vec![5, 6, 7, 8],
+        recorder: Recorder::new(),
+        telemetry: None,
+        workers: None,
+        team_sections: team.save_state(),
+    }
+}
+
+/// The snapshot's sections with the `kernel_mode` section's bytes
+/// replaced by `mode` (`None` drops the section, as in checkpoints
+/// written before it existed).
+fn sections_with_mode(mode: Option<&[u8]>) -> Vec<(String, Vec<u8>)> {
+    snapshot()
+        .to_sections()
+        .into_iter()
+        .filter_map(|(name, bytes)| {
+            if name == KERNEL_MODE_SECTION {
+                mode.map(|m| (name, m.to_vec()))
+            } else {
+                Some((name, bytes))
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn snapshots_stamp_strict_kernels() {
+    let sections = snapshot().to_sections();
+    assert_eq!(
+        find_section(&sections, KERNEL_MODE_SECTION),
+        Some(&[0u8][..])
+    );
+}
+
+#[test]
+fn only_an_absent_or_strict_kernel_mode_section_decodes() {
+    TrainerSnapshot::from_sections(&sections_with_mode(None)).expect("absent section loads");
+    TrainerSnapshot::from_sections(&sections_with_mode(Some(&[0]))).expect("strict loads");
+    let err = TrainerSnapshot::from_sections(&sections_with_mode(Some(&[1]))).unwrap_err();
+    assert!(matches!(err, CheckpointError::KernelModeMismatch), "{err}");
+    for junk in [&[9u8][..], &[], &[0, 0]] {
+        let err = TrainerSnapshot::from_sections(&sections_with_mode(Some(junk))).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::Malformed(what) if what.contains("kernel_mode")),
+            "{junk:?}: {err}"
+        );
+    }
+}
+
+/// Runs a tiny resuming training job against a checkpoint directory
+/// holding one checkpoint made of `sections`.
+fn resume_from(tag: &str, sections: &[(String, Vec<u8>)]) -> Result<(), TrainError> {
+    let dir = std::env::temp_dir().join(format!("hero-modeckpt-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = CheckpointStore::open(&dir, 2).unwrap();
+    assert!(store.save(sections, &FaultPlan::none()));
+
+    let (mut team, mut env) = fixture();
+    let outcome = train_team_checkpointed(
         &mut team,
         &mut env,
         &TrainOptions {
@@ -127,58 +121,42 @@ fn resume_outcome(dir: &std::path::Path) -> Result<(), String> {
             seed: 7,
         },
         &CheckpointConfig {
-            dir: Some(dir.to_path_buf()),
+            dir: Some(dir.clone()),
             resume: true,
             ..CheckpointConfig::default()
         },
-    )
-    .map(|_| ())
-    .map_err(|e| e.to_string())
-}
-
-fn store_snapshot(tag: &str, mode: KernelMode) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("hero-modeckpt-{tag}-{}", std::process::id()));
+    );
     let _ = std::fs::remove_dir_all(&dir);
-    let mut store = CheckpointStore::open(&dir, 2).unwrap();
-    assert!(store.save(&snapshot(mode).to_sections(), &FaultPlan::none()));
-    dir
+    outcome.map(|out| {
+        assert_eq!(
+            out.episodes_run, 1,
+            "the run must continue from episode 2, not start fresh"
+        );
+    })
 }
 
 #[test]
-fn strict_run_refuses_fast_checkpoint() {
-    let _guard = lock();
-    let dir = store_snapshot("fast-under-strict", KernelMode::Fast);
-    let msg = resume_outcome(&dir).expect_err("resume must refuse on mode mismatch");
+fn resume_refuses_a_fast_math_checkpoint() {
+    let err = resume_from("fast", &sections_with_mode(Some(&[1])))
+        .expect_err("resume must refuse a fast-math checkpoint instead of starting fresh");
     assert!(
-        msg.contains("refusing to resume") && msg.contains("kernel mode"),
+        matches!(
+            err,
+            TrainError::ResumeRefused(CheckpointError::KernelModeMismatch)
+        ),
+        "{err}"
+    );
+    let msg = err.to_string();
+    assert!(
+        msg.contains("refusing to resume") && msg.contains("kernel mode `fast`"),
         "refusal message should name the cause: {msg}"
     );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[cfg(feature = "fast-math")]
+/// The refusal is specific, not blanket: a strict checkpoint, and one
+/// written before the section existed, both resume.
 #[test]
-fn fast_run_refuses_strict_checkpoint() {
-    let _guard = lock();
-    let dir = store_snapshot("strict-under-fast", KernelMode::Strict);
-    hero_autograd::set_kernel_mode(KernelMode::Fast).unwrap();
-    let outcome = resume_outcome(&dir);
-    // Restore before asserting so a failure can't poison other tests.
-    hero_autograd::set_kernel_mode(KernelMode::Strict).unwrap();
-    let msg = outcome.expect_err("resume must refuse on mode mismatch");
-    assert!(
-        msg.contains("refusing to resume") && msg.contains("`strict`"),
-        "refusal message should name the saved mode: {msg}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The matching direction still resumes: a strict checkpoint under a
-/// strict runtime is accepted (the refusal is specific, not blanket).
-#[test]
-fn matching_mode_resumes_cleanly() {
-    let _guard = lock();
-    let dir = store_snapshot("strict-under-strict", KernelMode::Strict);
-    resume_outcome(&dir).expect("matching-mode resume must succeed");
-    let _ = std::fs::remove_dir_all(&dir);
+fn resume_accepts_strict_and_unstamped_checkpoints() {
+    resume_from("strict", &sections_with_mode(Some(&[0]))).expect("strict checkpoint resumes");
+    resume_from("unstamped", &sections_with_mode(None)).expect("unstamped checkpoint resumes");
 }

@@ -1,6 +1,6 @@
 //! Serving-path equivalence: the pooled, graph-free batch inference used
-//! by `hero-serve` must match the tape-recording path bit-for-bit under
-//! strict kernels (DESIGN.md "Serving"), both against
+//! by `hero-serve` must match the tape-recording path bit-for-bit
+//! (DESIGN.md "Serving"), both against
 //! [`HeroAgent::batch_logits`] and across batch sizes.
 
 use hero_autograd::TensorPool;

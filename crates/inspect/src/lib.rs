@@ -180,7 +180,7 @@ pub fn load_run(path: &Path) -> Result<Run, String> {
 // ---------------------------------------------------------------------------
 
 /// Renders a terminal report of one run: counters, learning-health values,
-/// and the hottest spans.
+/// the process's page faults and peak RSS, and the hottest spans.
 #[must_use]
 pub fn summarize(run: &Run) -> String {
     let mut out = String::new();
@@ -199,6 +199,16 @@ pub fn summarize(run: &Run) -> String {
                 "  {name:<32} n={:<7} mean {:>12.5} min {:>12.5} max {:>12.5} p95 {:>12.5}",
                 v.count, v.mean, v.min, v.max, v.p95
             );
+        }
+    }
+    let process: Vec<_> = ["live/process/minor_faults", "live/process/peak_rss_mb"]
+        .into_iter()
+        .filter_map(|name| run.gauges.get(name).map(|v| (name, v)))
+        .collect();
+    if !process.is_empty() {
+        let _ = writeln!(out, "\nprocess:");
+        for (name, v) in process {
+            let _ = writeln!(out, "  {name:<32} {v:.1}");
         }
     }
     if !run.spans.is_empty() {
@@ -310,85 +320,27 @@ impl DiffReport {
     }
 }
 
-fn compare(report: &mut DiffReport, what: String, a: f64, b: f64, tol: f64, abs_floor: f64) {
+fn compare(report: &mut DiffReport, what: String, a: f64, b: f64, tol: &Tolerances) {
+    let rel = if what.starts_with("counter/") {
+        tol.counter
+    } else if what.ends_with("/count") {
+        tol.count
+    } else {
+        tol.value
+    };
     let scale = a.abs().max(b.abs());
     let delta = (b - a).abs();
-    let within = delta <= tol * scale + abs_floor;
+    let within = delta <= rel * scale + tol.abs_floor;
     let delta_pct = if scale > 0.0 { 100.0 * (b - a) / scale } else { 0.0 };
     report.lines.push(DiffLine { what, a, b, delta_pct, within });
-}
-
-/// A tolerance override scoped to qualified-quantity-name prefixes, used
-/// by [`Tolerance::Relative`]. Quantity names are the `what` strings of
-/// [`DiffLine`]: `counter/<name>/total`, `value/<name>/count`,
-/// `value/<name>/mean|min|max` — so `counter/` targets every counter,
-/// `value/sac.` every SAC diagnostic, and a full name exactly one
-/// quantity. The longest matching prefix wins.
-#[derive(Clone, Debug, Default)]
-pub struct PrefixTolerance {
-    /// Prefix of the qualified quantity name this override applies to.
-    pub prefix: String,
-    /// Relative tolerance override (`None` keeps the base `rtol`).
-    pub rtol: Option<f64>,
-    /// Absolute tolerance override (`None` keeps the base `atol`).
-    pub atol: Option<f64>,
-}
-
-/// How [`diff`] bounds each compared quantity.
-#[derive(Clone, Debug)]
-pub enum Tolerance {
-    /// Per-kind relative tolerances: the golden-baseline gate, and with
-    /// every field zero the bit-identity gate.
-    PerKind(Tolerances),
-    /// `|b - a| <= atol + rtol * max(|a|, |b|)` for runs that are
-    /// reproducible but not bitwise comparable — fast-math runs differ
-    /// from their golden at the ULP when the host's ISA (and therefore
-    /// kernel instantiation) differs. `overrides` refine `rtol`/`atol` per
-    /// qualified-name prefix (longest match wins), e.g. pin `counter/` to
-    /// zero — event counts must match exactly even when float statistics
-    /// may drift.
-    Relative {
-        /// Base relative tolerance.
-        rtol: f64,
-        /// Base absolute tolerance.
-        atol: f64,
-        /// Per-prefix refinements.
-        overrides: Vec<PrefixTolerance>,
-    },
-}
-
-impl Default for Tolerance {
-    fn default() -> Self {
-        Self::PerKind(Tolerances::default())
-    }
-}
-
-impl Tolerance {
-    /// The `(rtol, atol)` pair bounding quantity `what`.
-    fn bounds(&self, what: &str) -> (f64, f64) {
-        match self {
-            Self::PerKind(tol) if what.starts_with("counter/") => (tol.counter, tol.abs_floor),
-            Self::PerKind(tol) if what.ends_with("/count") => (tol.count, tol.abs_floor),
-            Self::PerKind(tol) => (tol.value, tol.abs_floor),
-            Self::Relative { rtol, atol, overrides } => {
-                let best = overrides
-                    .iter()
-                    .filter(|o| what.starts_with(o.prefix.as_str()))
-                    .max_by_key(|o| o.prefix.len());
-                match best {
-                    Some(o) => (o.rtol.unwrap_or(*rtol), o.atol.unwrap_or(*atol)),
-                    None => (*rtol, *atol),
-                }
-            }
-        }
-    }
 }
 
 /// What [`diff`] compares and how strictly.
 #[derive(Clone, Debug, Default)]
 pub struct DiffOptions {
-    /// The bound on each compared quantity.
-    pub tolerance: Tolerance,
+    /// The bound on each compared quantity: with every field zero, the
+    /// bit-identity gate.
+    pub tolerance: Tolerances,
     /// Metric-name prefixes excluded from the comparison: a counter or
     /// value whose name starts with one is neither compared nor reported
     /// missing. The kill-and-resume CI gate ignores `checkpoint/`, since
@@ -407,21 +359,19 @@ pub struct DiffOptions {
 #[must_use]
 pub fn diff(a: &Run, b: &Run, opts: &DiffOptions) -> DiffReport {
     let ignored = |name: &str| opts.ignore.iter().any(|p| name.starts_with(p.as_str()));
-    let push = |report: &mut DiffReport, what: String, a: f64, b: f64| {
-        let (rtol, atol) = opts.tolerance.bounds(&what);
-        compare(report, what, a, b, rtol, atol);
-    };
+    let tol = &opts.tolerance;
     let mut report = DiffReport::default();
     for (name, ca) in &a.counters {
         if ignored(name) {
             continue;
         }
         match b.counters.get(name) {
-            Some(cb) => push(
+            Some(cb) => compare(
                 &mut report,
                 format!("counter/{name}/total"),
                 ca.total as f64,
                 cb.total as f64,
+                tol,
             ),
             None => report.missing.push(format!("counter {name:?} absent from candidate")),
         }
@@ -437,18 +387,25 @@ pub fn diff(a: &Run, b: &Run, opts: &DiffOptions) -> DiffReport {
         }
         match b.values.get(name) {
             Some(vb) => {
-                push(
+                compare(
                     &mut report,
                     format!("value/{name}/count"),
                     va.count as f64,
                     vb.count as f64,
+                    tol,
                 );
                 for (fieldname, fa, fb) in [
                     ("mean", va.mean, vb.mean),
                     ("min", va.min, vb.min),
                     ("max", va.max, vb.max),
                 ] {
-                    push(&mut report, format!("value/{name}/{fieldname}"), fa, fb);
+                    compare(
+                        &mut report,
+                        format!("value/{name}/{fieldname}"),
+                        fa,
+                        fb,
+                        tol,
+                    );
                 }
             }
             None => report.missing.push(format!("value {name:?} absent from candidate")),
@@ -864,9 +821,22 @@ mod tests {
 
     #[test]
     fn summarize_mentions_every_metric() {
-        let run = parse_run(BASE).unwrap();
+        let mut run = parse_run(BASE).unwrap();
+        run.gauges
+            .insert("live/process/minor_faults".into(), 3260.0);
+        run.gauges.insert("live/process/peak_rss_mb".into(), 41.5);
         let text = summarize(&run);
-        for needle in ["episodes", "grad_updates", "td_error", "entropy/agent0", "rollout"] {
+        for needle in [
+            "episodes",
+            "grad_updates",
+            "td_error",
+            "entropy/agent0",
+            "rollout",
+            "live/process/minor_faults",
+            "3260.0",
+            "live/process/peak_rss_mb",
+            "41.5",
+        ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
     }
@@ -931,64 +901,6 @@ mod tests {
         b.counters.get_mut("episodes").unwrap().rate_per_s = 1e9;
         b.elapsed_s = 1e9;
         assert!(!diff(&a, &b, &DiffOptions::default()).is_regression());
-    }
-
-    /// Relative-tolerance diff options.
-    fn relative(rtol: f64, atol: f64, overrides: &[PrefixTolerance], ignore: &[&str]) -> DiffOptions {
-        DiffOptions {
-            tolerance: Tolerance::Relative { rtol, atol, overrides: overrides.to_vec() },
-            ignore: ignore.iter().map(|p| (*p).to_string()).collect(),
-        }
-    }
-
-    #[test]
-    fn tolerance_diff_gates_on_rtol_and_atol() {
-        let a = parse_run(BASE).unwrap();
-        let mut b = a.clone();
-        // 10% drift on a value mean: inside rtol 0.2, outside rtol 0.05.
-        b.values.get_mut("entropy/agent0").unwrap().mean = 1.05 * 1.1;
-        assert!(!diff(&a, &b, &relative(0.2, 0.0, &[], &[])).is_regression());
-        assert!(diff(&a, &b, &relative(0.05, 0.0, &[], &[])).is_regression());
-        // A pure atol catches the same drift in absolute terms.
-        assert!(!diff(&a, &b, &relative(0.0, 0.2, &[], &[])).is_regression());
-        assert!(diff(&a, &b, &relative(0.0, 0.05, &[], &[])).is_regression());
-    }
-
-    #[test]
-    fn tolerance_diff_prefix_override_longest_match_wins() {
-        let a = parse_run(BASE).unwrap();
-        let mut b = a.clone();
-        b.counters.get_mut("grad_updates").unwrap().total = 101;
-        // Base rtol is generous, but `counter/` pinned to zero trips on a
-        // one-count drift.
-        let pin_counters = [PrefixTolerance {
-            prefix: "counter/".into(),
-            rtol: Some(0.0),
-            atol: Some(0.0),
-        }];
-        assert!(!diff(&a, &b, &relative(0.5, 0.0, &[], &[])).is_regression());
-        assert!(diff(&a, &b, &relative(0.5, 0.0, &pin_counters, &[])).is_regression());
-        // A longer, more specific prefix re-opens one counter.
-        let reopened = [
-            pin_counters[0].clone(),
-            PrefixTolerance {
-                prefix: "counter/grad_updates/".into(),
-                rtol: Some(0.5),
-                atol: None,
-            },
-        ];
-        assert!(!diff(&a, &b, &relative(0.5, 0.0, &reopened, &[])).is_regression());
-    }
-
-    #[test]
-    fn tolerance_diff_honors_ignore_prefixes_and_missing_metrics() {
-        let a = parse_run(BASE).unwrap();
-        let mut b = a.clone();
-        b.values.remove("entropy/agent0");
-        let report = diff(&a, &b, &relative(0.5, 0.0, &[], &[]));
-        assert!(report.is_regression());
-        assert!(report.missing[0].contains("absent from candidate"));
-        assert!(!diff(&a, &b, &relative(0.5, 0.0, &[], &["entropy/"])).is_regression());
     }
 
     /// A `hero-serve --out` run: the daemon's `max_batch` gauge and its

@@ -3,9 +3,7 @@
 //! ```text
 //! hero-inspect summarize RUN
 //! hero-inspect diff BASELINE CANDIDATE [--tol-value F] [--tol-count F]
-//!                  [--tol-counter F] [--abs-floor F]
-//!                  [--rtol F] [--atol F] [--rtol-prefix P:F]...
-//!                  [--atol-prefix P:F]... [--ignore PREFIX]...
+//!                  [--tol-counter F] [--abs-floor F] [--ignore PREFIX]...
 //!                  [--fail-on-regression] [--verbose]
 //! hero-inspect doctor RUN
 //! hero-inspect watch URL|RUN [--interval-ms N] [--frames N]
@@ -16,33 +14,27 @@
 //! tolerance or a metric disappears; `--ignore PREFIX` (repeatable)
 //! excludes metrics by name prefix, e.g. `--ignore checkpoint/` (resumed
 //! vs. uninterrupted) or `--ignore live/` (scraped vs. unscraped).
-//! Passing any of `--rtol`, `--atol`, `--rtol-prefix`, `--atol-prefix`
-//! switches the diff into tolerance mode (`|b-a| <= atol + rtol*scale`,
-//! used to gate fast-math runs against their golden); the prefix forms
-//! override the base pair for qualified quantity names (longest prefix
-//! wins), e.g. `--rtol-prefix counter/:0` pins event counts exact.
-//! Tolerance mode and the legacy `--tol-*`/`--abs-floor` family are
-//! mutually exclusive. `doctor` exits 1 when a critical pathology
-//! (watchdog events, dropped checkpoints) is found; on a `hero-serve`
-//! run it also warns when batch occupancy shows micro-batching never
-//! engaged. `watch` is "hero-top": it renders a refreshing
-//! terminal view of a run from either a live exporter address (anything
-//! that is not an existing path — e.g. `127.0.0.1:9464`, scraped via
-//! `GET /snapshot`) or a finished telemetry file/directory; `--frames N`
-//! stops after N frames (0 = forever, the default), `--interval-ms`
-//! defaults to 1000. Usage errors exit 2.
+//! `summarize` also prints the run's process gauges (minor page faults,
+//! peak RSS) when it recorded them. `doctor` exits 1 when a critical
+//! pathology (watchdog events, dropped checkpoints) is found; on a
+//! `hero-serve` run it also warns when batch occupancy shows
+//! micro-batching never engaged. `watch` is "hero-top": it renders a
+//! refreshing terminal view of a run from either a live exporter address
+//! (anything that is not an existing path — e.g. `127.0.0.1:9464`,
+//! scraped via `GET /snapshot`) or a finished telemetry file/directory;
+//! `--frames N` stops after N frames (0 = forever, the default),
+//! `--interval-ms` defaults to 1000. Usage errors exit 2.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use hero_inspect::{
     diff, doctor, load_run, parse_run, queue_depth_report, render_findings, render_top, summarize,
-    throughput_report, DiffOptions, PrefixTolerance, Severity, Tolerance, Tolerances,
+    throughput_report, DiffOptions, Severity, Tolerances,
 };
 
 const USAGE: &str = "usage: hero-inspect <summarize RUN | diff BASELINE CANDIDATE \
                      [--tol-value F] [--tol-count F] [--tol-counter F] [--abs-floor F] \
-                     [--rtol F] [--atol F] [--rtol-prefix P:F]... [--atol-prefix P:F]... \
                      [--ignore PREFIX]... [--fail-on-regression] [--verbose] | doctor RUN \
                      | watch URL|RUN [--interval-ms N] [--frames N]>";
 
@@ -144,46 +136,12 @@ fn run_watch(rest: &[String]) -> ExitCode {
     }
 }
 
-/// Parses a `--rtol-prefix`/`--atol-prefix` operand of the form
-/// `PREFIX:F` into an override on `overrides` (merging with an existing
-/// entry for the same prefix, so both knobs can target one prefix).
-fn parse_prefix_override(
-    flag: &str,
-    operand: Option<&String>,
-    overrides: &mut Vec<PrefixTolerance>,
-) -> Result<(), String> {
-    let bad = || format!("{flag} requires PREFIX:F with F a non-negative number");
-    let Some((prefix, value)) = operand.and_then(|v| v.rsplit_once(':')) else {
-        return Err(bad());
-    };
-    let value: f64 = value.parse().map_err(|_| bad())?;
-    if prefix.is_empty() || !(value >= 0.0) {
-        return Err(bad());
-    }
-    let entry = match overrides.iter_mut().find(|o| o.prefix == prefix) {
-        Some(entry) => entry,
-        None => {
-            overrides.push(PrefixTolerance { prefix: prefix.to_owned(), ..Default::default() });
-            overrides.last_mut().expect("just pushed")
-        }
-    };
-    match flag {
-        "--rtol-prefix" => entry.rtol = Some(value),
-        _ => entry.atol = Some(value),
-    }
-    Ok(())
-}
-
 fn run_diff(rest: &[String]) -> ExitCode {
     let mut paths = Vec::new();
-    let mut tol = Tolerances::default();
-    let mut rtol: Option<f64> = None;
-    let mut atol: Option<f64> = None;
-    let mut overrides: Vec<PrefixTolerance> = Vec::new();
+    let mut tolerance = Tolerances::default();
     let mut ignore_prefixes: Vec<String> = Vec::new();
     let mut fail_on_regression = false;
     let mut verbose = false;
-    let mut legacy_flags = false;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         let mut tol_flag = |slot: &mut f64| match it.next().map(|v| v.parse::<f64>()) {
@@ -194,33 +152,10 @@ fn run_diff(rest: &[String]) -> ExitCode {
             _ => Err(format!("{arg} requires a non-negative number")),
         };
         let parsed = match arg.as_str() {
-            "--tol-value" => {
-                legacy_flags = true;
-                tol_flag(&mut tol.value)
-            }
-            "--tol-count" => {
-                legacy_flags = true;
-                tol_flag(&mut tol.count)
-            }
-            "--tol-counter" => {
-                legacy_flags = true;
-                tol_flag(&mut tol.counter)
-            }
-            "--abs-floor" => {
-                legacy_flags = true;
-                tol_flag(&mut tol.abs_floor)
-            }
-            "--rtol" => {
-                let mut v = 0.0;
-                tol_flag(&mut v).map(|()| rtol = Some(v))
-            }
-            "--atol" => {
-                let mut v = 0.0;
-                tol_flag(&mut v).map(|()| atol = Some(v))
-            }
-            "--rtol-prefix" | "--atol-prefix" => {
-                parse_prefix_override(arg, it.next(), &mut overrides)
-            }
+            "--tol-value" => tol_flag(&mut tolerance.value),
+            "--tol-count" => tol_flag(&mut tolerance.count),
+            "--tol-counter" => tol_flag(&mut tolerance.counter),
+            "--abs-floor" => tol_flag(&mut tolerance.abs_floor),
             "--ignore" => match it.next() {
                 Some(prefix) if !prefix.is_empty() => {
                     ignore_prefixes.push(prefix.clone());
@@ -249,18 +184,9 @@ fn run_diff(rest: &[String]) -> ExitCode {
     let [baseline, candidate] = paths.as_slice() else {
         return fail("diff takes exactly BASELINE and CANDIDATE");
     };
-    let tolerance_mode = rtol.is_some() || atol.is_some() || !overrides.is_empty();
-    if tolerance_mode && legacy_flags {
-        return fail("--rtol/--atol/--*-prefix and --tol-*/--abs-floor are separate modes; pick one");
-    }
     let (a, b) = match (load_run(Path::new(baseline)), load_run(Path::new(candidate))) {
         (Ok(a), Ok(b)) => (a, b),
         (Err(e), _) | (_, Err(e)) => return fail(&e),
-    };
-    let tolerance = if tolerance_mode {
-        Tolerance::Relative { rtol: rtol.unwrap_or(0.0), atol: atol.unwrap_or(0.0), overrides }
-    } else {
-        Tolerance::PerKind(tol)
     };
     let report = diff(&a, &b, &DiffOptions { tolerance, ignore: ignore_prefixes });
     print!("{}", report.render(verbose));

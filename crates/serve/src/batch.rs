@@ -93,7 +93,7 @@ pub struct ServeStats {
     pub queue_depth: AtomicU64,
     /// Successful hot-reloads.
     pub reloads: AtomicU64,
-    /// Refused hot-reloads (corrupt registry, kernel-mode mismatch, ...).
+    /// Refused hot-reloads (corrupt registry, fast-math checkpoint, ...).
     pub reload_rejected: AtomicU64,
 }
 

@@ -7,7 +7,6 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use hero_autograd::KernelMode;
 use hero_serve::{start, BatchOptions, ServeConfig};
 use hero_telemetry::registry::TelemetryConfig;
 
@@ -25,9 +24,6 @@ usage: hero-serve [flags]
                            1 = request-at-a-time baseline)
   --batch-deadline-us N    longest a batch waits for more rows (default
                            2000)
-  --kernel-mode MODE       strict (default) or fast (needs a
-                           --features fast-math build)
-  --gemm-threads N         matmul worker threads in fast mode (default 1)
   --out DIR                write the serve_addr discovery file into DIR,
                            and telemetry.jsonl on exit
   --seed N                 synthetic policy weight seed (default 0)
@@ -41,8 +37,6 @@ struct Args {
     synthetic: Option<(usize, usize, usize)>,
     max_batch: usize,
     batch_deadline_us: u64,
-    kernel_mode: KernelMode,
-    gemm_threads: usize,
     out: Option<PathBuf>,
     seed: u64,
 }
@@ -54,8 +48,6 @@ fn parse_args() -> Result<Args, String> {
         synthetic: None,
         max_batch: 32,
         batch_deadline_us: 2000,
-        kernel_mode: KernelMode::Strict,
-        gemm_threads: 1,
         out: None,
         seed: 0,
     };
@@ -95,16 +87,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| format!("--batch-deadline-us {value}: expected microseconds"))?;
             }
-            "--kernel-mode" => {
-                out.kernel_mode = value
-                    .parse()
-                    .map_err(|e| format!("--kernel-mode {value}: {e}"))?;
-            }
-            "--gemm-threads" => {
-                out.gemm_threads = value
-                    .parse()
-                    .map_err(|_| format!("--gemm-threads {value}: expected a thread count"))?;
-            }
             "--out" => out.out = Some(PathBuf::from(value)),
             "--seed" => {
                 out.seed = value
@@ -130,12 +112,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    hero_autograd::set_gemm_threads(args.gemm_threads.max(1));
-    if let Err(e) = hero_autograd::set_kernel_mode(args.kernel_mode) {
-        eprintln!("hero-serve: --kernel-mode {}: {e}", args.kernel_mode);
-        return ExitCode::FAILURE;
-    }
 
     // Telemetry lives for the process: /metrics serves the live quantile
     // plane (latency, occupancy, queue depth), and --out persists the

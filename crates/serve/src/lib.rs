@@ -8,8 +8,9 @@
 //! * [`policy`] — loads a checkpoint *without a model template*: agent
 //!   count, layer widths, and option count are inferred from the stored
 //!   parameter shapes, then the weights are loaded through the same
-//!   validated path the trainer resumes through. Kernel-mode-mismatched
-//!   checkpoints are refused with the existing typed error.
+//!   validated path the trainer resumes through. Checkpoints trained by
+//!   the retired fast-math tier are refused with the trainer's typed
+//!   error.
 //! * [`batch`] — the micro-batching dispatcher: concurrent requests
 //!   queue onto one channel; a dispatcher thread coalesces them up to
 //!   `--max-batch` or a `--batch-deadline-us` deadline and runs ONE

@@ -13,7 +13,7 @@
 use std::path::Path;
 
 use hero_autograd::serialize::{self, decode_param_table};
-use hero_autograd::{CheckpointError, KernelMode, TensorPool};
+use hero_autograd::{CheckpointError, TensorPool};
 use hero_core::checkpoint::load_latest;
 use hero_core::{HeroAgent, HeroConfig};
 use hero_rl::snapshot::{Codec, Reader};
@@ -29,7 +29,6 @@ use rand::SeedableRng;
 pub struct ServePolicy {
     agents: Vec<HeroAgent>,
     checkpoint: u64,
-    kernel_mode: KernelMode,
     obs_dim: usize,
     n_options: usize,
 }
@@ -37,15 +36,14 @@ pub struct ServePolicy {
 impl ServePolicy {
     /// Builds a policy from decoded checkpoint sections.
     ///
-    /// Refuses a checkpoint written under a different GEMM kernel mode
-    /// than the one active in this process (the same typed refusal the
-    /// trainer uses on resume): serving fast-math weights through strict
-    /// kernels — or vice versa — would silently diverge from the
+    /// Refuses a checkpoint trained by the fast-math GEMM tier (the same
+    /// typed refusal the trainer uses on resume): serving its weights
+    /// through strict kernels would silently diverge from the
     /// training-time policy.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::KernelModeMismatch`] on a cross-mode
+    /// [`CheckpointError::KernelModeMismatch`] on a fast-math
     /// checkpoint; [`CheckpointError::MissingSection`] /
     /// [`CheckpointError::Malformed`] / shape mismatches on a section
     /// list that is not a HERO team snapshot.
@@ -53,26 +51,7 @@ impl ServePolicy {
         checkpoint: u64,
         sections: &[(String, Vec<u8>)],
     ) -> Result<Self, CheckpointError> {
-        let saved_mode = match serialize::find_section(sections, "kernel_mode") {
-            Some([byte]) => KernelMode::from_byte(*byte).ok_or_else(|| {
-                CheckpointError::Malformed(format!("unknown kernel mode byte {byte}"))
-            })?,
-            Some(other) => {
-                return Err(CheckpointError::Malformed(format!(
-                    "kernel_mode section must be 1 byte, found {}",
-                    other.len()
-                )))
-            }
-            // Pre-fast-math checkpoints carry no section and are strict.
-            None => KernelMode::Strict,
-        };
-        let active_mode = hero_autograd::kernel_mode();
-        if saved_mode != active_mode {
-            return Err(CheckpointError::KernelModeMismatch {
-                saved: saved_mode.as_str().to_string(),
-                active: active_mode.as_str().to_string(),
-            });
-        }
+        serialize::check_kernel_mode(sections)?;
 
         let last_blob = serialize::require_section(sections, "team/last_options")?;
         let mut r = Reader::new(last_blob);
@@ -142,7 +121,6 @@ impl ServePolicy {
         Ok(ServePolicy {
             agents,
             checkpoint,
-            kernel_mode: saved_mode,
             obs_dim,
             n_options,
         })
@@ -157,8 +135,8 @@ impl ServePolicy {
     ///
     /// Propagates [`ServePolicy::from_sections`] errors for the newest
     /// *valid* checkpoint — a CRC-corrupt file falls back to an older
-    /// one, but a well-formed checkpoint that refuses to load (kernel
-    /// mode, shapes) is an error, not a fallback.
+    /// one, but a well-formed checkpoint that refuses to load (fast-math
+    /// kernel mode, shapes) is an error, not a fallback.
     pub fn load_newest(dir: &Path) -> Result<Option<(ServePolicy, usize)>, CheckpointError> {
         match load_latest(dir)? {
             None => Ok(None),
@@ -188,7 +166,6 @@ impl ServePolicy {
         ServePolicy {
             agents,
             checkpoint: 0,
-            kernel_mode: hero_autograd::kernel_mode(),
             obs_dim,
             n_options,
         }
@@ -211,11 +188,6 @@ impl ServePolicy {
     /// synthetic policies).
     pub fn checkpoint(&self) -> u64 {
         self.checkpoint
-    }
-
-    /// Kernel mode the policy was saved (and is being served) under.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel_mode
     }
 
     /// Observation width each request must provide.

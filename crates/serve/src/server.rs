@@ -8,7 +8,7 @@
 //!   `{"option": N, "logits": "...", "checkpoint": N, "batch": N}`.
 //! * `POST /reload` — atomically swap in the newest valid checkpoint
 //!   from the registry; 409 with the typed error text when the newest
-//!   valid checkpoint refuses to load (kernel-mode mismatch) or the
+//!   valid checkpoint refuses to load (e.g. a fast-math checkpoint) or the
 //!   registry is empty. The old policy keeps serving either way.
 //! * `POST /shutdown` — ask the process to exit ([`HeroServer::wait`]
 //!   returns); used by CI for clean teardown.
@@ -291,7 +291,7 @@ fn route(
                 p.n_agents(),
                 p.n_options(),
                 p.checkpoint(),
-                p.kernel_mode()
+                hero_autograd::kernel_mode()
             ))
             .content_type("application/json")
         }

@@ -1,15 +1,15 @@
 //! Hot-reload robustness: `POST /reload` must atomically swap to the
 //! newest valid checkpoint, fall back past corrupt files, refuse
-//! kernel-mode-mismatched checkpoints with the typed error while the old
-//! policy keeps serving, and never drop or corrupt an in-flight request.
+//! fast-math checkpoints with the typed error while the old policy keeps
+//! serving, and never drop or corrupt an in-flight request.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hero_autograd::serialize::save_sections;
-use hero_autograd::{KernelMode, TensorPool};
+use hero_autograd::serialize::{save_sections, KERNEL_MODE_SECTION};
+use hero_autograd::TensorPool;
 use hero_core::{HeroAgent, HeroConfig};
 use hero_rl::snapshot::Codec;
 use hero_serve::{start, BatchOptions, ServeConfig, ServePolicy};
@@ -21,17 +21,21 @@ use rand::SeedableRng;
 const OBS: usize = 5;
 const HIDDEN: usize = 8;
 const AGENTS: usize = 2;
+/// `kernel_mode` section bytes: strict kernels, and the retired fast-math
+/// tier.
+const STRICT: u8 = 0;
+const FAST: u8 = 1;
 
 /// Builds the flat section list a trainer checkpoint carries for the
 /// parts the serving daemon reads: `kernel_mode`, `team/last_options`,
 /// and per-agent parameter tables.
-fn checkpoint_sections(seed: u64, mode: KernelMode) -> Vec<(String, Vec<u8>)> {
+fn checkpoint_sections(seed: u64, mode: u8) -> Vec<(String, Vec<u8>)> {
     let cfg = HeroConfig {
         hidden: HIDDEN,
         ..HeroConfig::default()
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut sections = vec![("kernel_mode".to_string(), vec![mode.to_byte()])];
+    let mut sections = vec![(KERNEL_MODE_SECTION.to_string(), vec![mode])];
     let mut last = Vec::new();
     vec![0usize; AGENTS].encode(&mut last);
     sections.push(("team/last_options".to_string(), last));
@@ -47,7 +51,7 @@ fn checkpoint_sections(seed: u64, mode: KernelMode) -> Vec<(String, Vec<u8>)> {
     sections
 }
 
-fn write_checkpoint(dir: &Path, index: u64, seed: u64, mode: KernelMode) {
+fn write_checkpoint(dir: &Path, index: u64, seed: u64, mode: u8) {
     let path = dir.join(format!("ckpt-{index:08}.hero"));
     save_sections(&path, &checkpoint_sections(seed, mode)).expect("checkpoint written");
 }
@@ -97,7 +101,7 @@ fn served_checkpoint(body: &str) -> u64 {
 #[test]
 fn reload_swaps_to_the_newest_checkpoint() {
     let dir = temp_registry("swap");
-    write_checkpoint(&dir, 0, 100, KernelMode::Strict);
+    write_checkpoint(&dir, 0, 100, STRICT);
     let server = serve_registry(&dir);
     let addr = server.local_addr();
     assert_eq!(server.checkpoint(), 0);
@@ -107,7 +111,7 @@ fn reload_swaps_to_the_newest_checkpoint() {
     let before = parse_json_object(body.trim()).unwrap();
     assert_eq!(served_checkpoint(&body), 0);
 
-    write_checkpoint(&dir, 1, 200, KernelMode::Strict);
+    write_checkpoint(&dir, 1, 200, STRICT);
     let (status, reload_body) =
         http_request("POST", &format!("http://{addr}/reload"), "").expect("POST /reload");
     assert_eq!(status, 200, "{reload_body}");
@@ -125,7 +129,7 @@ fn reload_swaps_to_the_newest_checkpoint() {
     );
 
     let local = {
-        let sections = checkpoint_sections(200, KernelMode::Strict);
+        let sections = checkpoint_sections(200, STRICT);
         ServePolicy::from_sections(1, &sections).expect("local policy loads")
     };
     let mut pool = TensorPool::new();
@@ -146,7 +150,7 @@ fn reload_swaps_to_the_newest_checkpoint() {
 #[test]
 fn corrupt_newest_checkpoint_falls_back_to_an_older_valid_one() {
     let dir = temp_registry("corrupt");
-    write_checkpoint(&dir, 0, 100, KernelMode::Strict);
+    write_checkpoint(&dir, 0, 100, STRICT);
     let server = serve_registry(&dir);
     let addr = server.local_addr();
 
@@ -171,20 +175,20 @@ fn corrupt_newest_checkpoint_falls_back_to_an_older_valid_one() {
 }
 
 #[test]
-fn kernel_mode_mismatch_is_refused_and_the_old_policy_keeps_serving() {
+fn fast_math_checkpoint_is_refused_and_the_old_policy_keeps_serving() {
     let dir = temp_registry("mode");
-    write_checkpoint(&dir, 0, 100, KernelMode::Strict);
+    write_checkpoint(&dir, 0, 100, STRICT);
     let server = serve_registry(&dir);
     let addr = server.local_addr();
 
-    // This build serves strict kernels; a fast-math checkpoint must be
-    // refused with the typed mismatch error, not served cross-mode.
-    write_checkpoint(&dir, 1, 200, KernelMode::Fast);
+    // This build has only strict kernels; a fast-math checkpoint must be
+    // refused with the typed mismatch error, not served through them.
+    write_checkpoint(&dir, 1, 200, FAST);
     let (status, body) =
         http_request("POST", &format!("http://{addr}/reload"), "").expect("POST /reload");
-    assert_eq!(status, 409, "cross-mode checkpoint was accepted: {body}");
+    assert_eq!(status, 409, "fast-math checkpoint was accepted: {body}");
     assert!(
-        body.contains("kernel"),
+        body.contains("kernel mode `fast`"),
         "409 body does not name the kernel-mode mismatch: {body}"
     );
     assert_eq!(server.checkpoint(), 0, "policy slot changed on a refused reload");
@@ -203,10 +207,10 @@ fn kernel_mode_mismatch_is_refused_and_the_old_policy_keeps_serving() {
 #[test]
 fn reload_under_load_drops_no_requests() {
     let dir = temp_registry("underload");
-    write_checkpoint(&dir, 0, 100, KernelMode::Strict);
+    write_checkpoint(&dir, 0, 100, STRICT);
     let server = serve_registry(&dir);
     let addr = server.local_addr();
-    write_checkpoint(&dir, 1, 200, KernelMode::Strict);
+    write_checkpoint(&dir, 1, 200, STRICT);
 
     let stop = Arc::new(AtomicBool::new(false));
     const CLIENTS: usize = 4;

@@ -1,7 +1,7 @@
 //! End-to-end serving correctness: requests through the full HTTP +
 //! micro-batching stack must answer with exactly the logits the policy
-//! computes locally — bitwise, in the default strict kernel mode —
-//! and concurrent requests must each get their *own* row back.
+//! computes locally — bitwise — and concurrent requests must each get
+//! their *own* row back.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -94,7 +94,7 @@ fn request_at_a_time_baseline_matches_batched_answers() {
     assert_eq!(
         l1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         l2.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "max-batch 1 and batched dispatch must agree bitwise in strict mode"
+        "max-batch 1 and batched dispatch must agree bitwise"
     );
 }
 
@@ -216,7 +216,7 @@ fn info_and_stats_describe_the_policy_and_traffic() {
     assert_eq!(info.get("checkpoint").and_then(JsonValue::as_f64), Some(0.0));
     assert_eq!(
         info.get("kernel_mode").and_then(|v| v.as_str().map(str::to_string)),
-        Some(hero_autograd::kernel_mode().to_string())
+        Some("strict".to_string())
     );
 
     let (status, body) =

@@ -292,6 +292,7 @@ impl Drop for ScopedGuard {
 }
 
 fn flush_registry(registry: &Registry) -> std::io::Result<()> {
+    record_process_gauges(registry);
     let snap = registry.snapshot();
     if let Some(path) = &registry.config().trace_out {
         trace::write_trace(&registry.trace_events(), &snap, path)?;
@@ -307,6 +308,36 @@ fn flush_registry(registry: &Registry) -> std::io::Result<()> {
             Ok(())
         }
         None => Ok(()),
+    }
+}
+
+/// Sets the `live/process/minor_faults` and `live/process/peak_rss_mb`
+/// gauges from `/proc/self`, so allocator churn that no span attributes
+/// (page faults from mapping and trimming large buffers) shows in every
+/// run's artifact. Other platforms record neither gauge.
+fn record_process_gauges(registry: &Registry) {
+    if !cfg!(target_os = "linux") {
+        return;
+    }
+    // `/proc/self/stat` field 10 is minflt; fields count from the pid,
+    // and the command name (field 2) is parenthesized and may hold spaces.
+    let minor_faults = std::fs::read_to_string("/proc/self/stat")
+        .ok()
+        .and_then(|stat| {
+            let (_, rest) = stat.rsplit_once(')')?;
+            rest.split_whitespace().nth(7)?.parse::<f64>().ok()
+        });
+    if let Some(faults) = minor_faults {
+        registry.gauge_set("live/process/minor_faults", faults);
+    }
+    let peak_rss_kb = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+            line.split_whitespace().nth(1)?.parse::<f64>().ok()
+        });
+    if let Some(kb) = peak_rss_kb {
+        registry.gauge_set("live/process/peak_rss_mb", kb / 1024.0);
     }
 }
 
@@ -706,6 +737,15 @@ mod tests {
             .iter()
             .any(|r| r.get("name").and_then(emit::JsonValue::as_str) == Some("env_steps")
                 && r["total"].as_f64() == Some(42.0)));
+        if cfg!(target_os = "linux") {
+            for gauge in ["live/process/minor_faults", "live/process/peak_rss_mb"] {
+                let value = records
+                    .iter()
+                    .find(|r| r.get("name").and_then(emit::JsonValue::as_str) == Some(gauge))
+                    .and_then(|r| r.get("value")?.as_f64());
+                assert!(value.is_some_and(|v| v > 0.0), "{gauge}: {value:?}");
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 gate, telemetry smoke test, the learning-dynamics golden diff,
-# the policy-serving lane, the repository benchmark, and the fast-math
-# kernel lane. Run from anywhere.
+# the policy-serving lane, and the repository benchmark. Run from anywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -317,46 +316,11 @@ echo "=== repository benchmark"
 # benchmark/ is the one performance measurement (see benchmark/README.md).
 # Build it against the current crates, run its helper tests, then one
 # quick pass: run.sh exits nonzero when any built-in check fails (state
-# digests, bitwise logits, reloads, stage sums).
+# digests, bitwise logits, reloads, stage sums). --locked fails the lane
+# when a crate change would rewrite benchmark/Cargo.lock.
 BENCH=$(mktemp -d /tmp/hero-bench.XXXXXX)
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --quick --out "$BENCH/results.json"
 rm -rf "$BENCH"
-
-echo "=== fast-math lane"
-# The opt-in GEMM tier: packed FMA kernels behind --features fast-math.
-# This lane runs LAST because it rebuilds target/release binaries with
-# the feature on (the default dispatch is still strict, so the rebuilt
-# binaries behave identically unless --kernel-mode fast is passed).
-#
-# 1. The kernel property suite: fast kernels vs an f64-accumulated
-#    reference over ragged shapes, and bit-identical reruns at 1/2/4
-#    GEMM threads. Then the throughput floor: one fast-tier thread at
-#    least 1.5x the strict kernel at 256^3 (its own test binary, so it
-#    measures on an otherwise idle process).
-cargo test -q --release -p hero-autograd --features fast-math \
-    --test fastmath_kernel_props --test fastmath_speedup
-# 2. Checkpoint mode hygiene: a checkpoint written under one kernel mode
-#    refuses to resume under the other (both directions with the feature).
-cargo test -q --release -p hero-core --features fast-math \
-    --test kernel_mode_mismatch
-# 3. Seeded fast-math smoke, gated against the fast golden with relative
-#    tolerance: fast runs are reproducible but only ULP-close to their
-#    golden when the host ISA (kernel instantiation) differs, so float
-#    statistics get rtol 0.4 while event counts stay exact
-#    (--rtol-prefix counter/:0).
-cargo build --release -q -p hero-bench --features fast-math \
-    --bin fig10_opponent_loss
-FAST=$(mktemp -d /tmp/hero-fast.XXXXXX)
-./target/release/fig10_opponent_loss \
-    --episodes 6 --eval-episodes 1 --skill-episodes 2 --batch-size 8 \
-    --update-every 1 --seed 7 --kernel-mode fast --out "$FAST/exp" \
-    --telemetry-out "$FAST/tel" >/dev/null
-./target/release/hero-inspect diff \
-    tests/golden/diag_baseline_fast.jsonl "$FAST/tel" \
-    --rtol 0.4 --atol 1e-3 --rtol-prefix counter/:0 --fail-on-regression
-# The fast run must identify itself in telemetry.
-expect_counter "$FAST/tel" kernel/fast_math -eq 1 "the fast run identifies itself"
-rm -rf "$FAST"
 
 echo "=== CI passed"

@@ -461,6 +461,48 @@ fn newest_checkpoint_bytes(dir: &std::path::Path) -> Vec<u8> {
     std::fs::read(newest).expect("read checkpoint file")
 }
 
+/// Checkpoint bytes are a format contract: a seeded run must write the
+/// same newest checkpoint on every build, so a refactor that changes
+/// what lands on disk fails here instead of in a later resume. Telemetry
+/// stays off, because the telemetry section holds skill-worker sums whose
+/// order is not yet reproducible. If the format changes on purpose,
+/// record the new length and hash in the same change.
+#[test]
+fn hero_checkpoint_bytes_are_pinned() {
+    use hero_core::trainer::{train_team_checkpointed, CheckpointConfig};
+
+    const PINNED_LEN: usize = 64_978;
+    const PINNED_FNV1A: u64 = 0xa55c_f2e1_f8ab_5afb;
+
+    let dir = std::env::temp_dir().join(format!("hero_pinned_ckpt_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let seed = 31;
+    let (mut env, mut team) = hero_crash_fixture(seed);
+    let out = train_team_checkpointed(
+        &mut team,
+        &mut env,
+        &crash_opts(4, seed),
+        &CheckpointConfig {
+            every: 1,
+            dir: Some(dir.clone()),
+            ..CheckpointConfig::default()
+        },
+    )
+    .expect("run must not abort");
+    assert!(out.completed);
+    let bytes = newest_checkpoint_bytes(&dir);
+    let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(
+        (bytes.len(), fnv1a),
+        (PINNED_LEN, PINNED_FNV1A),
+        "checkpoint bytes changed: (len, FNV-1a) = ({}, {fnv1a:#018x})",
+        bytes.len()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Serial-mode actor/learner training (`batch_worlds == 1`) is the
 /// sequential trainer with environment stepping moved onto actor
 /// threads: for any actor count it must reproduce the sequential run
