@@ -272,18 +272,12 @@ impl Graph {
         }
     }
 
-    /// `(hits, misses)` of the graph's buffer pool: after the shapes of a
-    /// training step have been seen once, steady-state iterations should
-    /// only add hits.
-    pub fn pool_stats(&self) -> (u64, u64) {
-        self.pool.stats()
-    }
-
-    /// Buffers currently parked in the graph's pool. Capped per capacity
-    /// class (see [`TensorPool::MAX_PER_BUCKET`]) so repeated minibatches
-    /// cannot grow the heap without bound.
-    pub fn pool_held(&self) -> usize {
-        self.pool.held()
+    /// The graph's buffer pool. Inference passes
+    /// ([`crate::nn::Mlp::infer_in`]) and pooled inputs share it with the
+    /// tape: an input built from it and recorded with [`Graph::input`]
+    /// returns to it at the next [`Graph::reset`].
+    pub fn pool(&mut self) -> &mut TensorPool {
+        &mut self.pool
     }
 
     /// The computed value of a node.

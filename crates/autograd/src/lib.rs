@@ -14,7 +14,7 @@
 //! ```
 //! use hero_autograd::nn::{Activation, Mlp, Module};
 //! use hero_autograd::optim::{Adam, Optimizer};
-//! use hero_autograd::{loss, Graph, Tensor};
+//! use hero_autograd::{loss, Graph, Tensor, TensorPool};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
@@ -33,7 +33,9 @@
 //!     g.backward(l);
 //!     opt.step();
 //! }
-//! let check = net.infer(&Tensor::from_vec(vec![1, 1], vec![0.25]));
+//! // Inference runs without a tape, its buffers drawn from a pool.
+//! let mut pool = TensorPool::new();
+//! let check = net.infer_in(&Tensor::from_vec(vec![1, 1], vec![0.25]), &mut pool);
 //! assert!((check.item() - 0.5).abs() < 0.2);
 //! ```
 

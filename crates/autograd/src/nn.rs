@@ -244,16 +244,9 @@ impl Mlp {
         h
     }
 
-    /// Convenience inference: runs a single `[batch, in]` tensor through a
-    /// throwaway graph and returns the output tensor.
-    pub fn infer(&self, x: &Tensor) -> Tensor {
-        let mut g = Graph::new();
-        let xn = g.input(x.clone());
-        let y = self.forward(&mut g, xn);
-        g.value(y).clone()
-    }
-
     /// Inference-only forward pass: no graph, no tape, no gradient buffers.
+    /// This is the one inference path; [`Mlp::forward`] on a [`Graph`] is
+    /// the training path and the reference it is tested against.
     ///
     /// Activations are checked out of `pool` and returned as each layer
     /// completes, so a warm pool makes repeated calls allocation-free
@@ -261,10 +254,10 @@ impl Mlp {
     /// `pool.put(out.into_data())` to keep it that way). Every arithmetic
     /// step matches the graph ops exactly — the same [`matmul_into`]
     /// kernel dispatch, the same `x·W + b` addition order, the same
-    /// activation formulas — so the result is bitwise identical to
-    /// [`Mlp::infer`], and because each output element of the
-    /// matmul accumulates independently, row `r` of a `[batch, in]` call
-    /// is bitwise identical to a `[1, in]` call on that row alone.
+    /// activation formulas — so the result is bitwise identical to the
+    /// value [`Mlp::forward`] records, and because each output element of
+    /// the matmul accumulates independently, row `r` of a `[batch, in]`
+    /// call is bitwise identical to a `[1, in]` call on that row alone.
     ///
     /// [`matmul_into`]: crate::tensor::matmul_into
     ///
@@ -459,7 +452,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let net = Mlp::new("n", &[3, 8, 2], Activation::Relu, &mut rng);
         let x = Tensor::from_vec(vec![1, 3], vec![0.3, -0.2, 0.9]);
-        let via_infer = net.infer(&x);
+        let via_infer = net.infer_in(&x, &mut TensorPool::new());
         let mut g = Graph::new();
         let xn = g.input(x);
         let y = net.forward(&mut g, xn);

@@ -413,6 +413,14 @@ impl TensorPool {
         }
     }
 
+    /// A `[rows, cols]` tensor in a pooled buffer, into which `fill`
+    /// pushes exactly `rows * cols` values in row-major order.
+    pub fn matrix(&mut self, rows: usize, cols: usize, fill: impl FnOnce(&mut Vec<f32>)) -> Tensor {
+        let mut data = self.take(rows * cols);
+        fill(&mut data);
+        Tensor::from_vec(vec![rows, cols], data)
+    }
+
     /// Upper bound on buffers retained per capacity class.
     pub const MAX_PER_BUCKET: usize = 8;
 

@@ -35,16 +35,16 @@ fn pool_capacity_plateaus_across_minibatches() {
     for _ in 0..24 {
         step(&mut g, &l1, &l2, &x, &t);
     }
-    let held_after_warmup = g.pool_held();
-    let (_, misses_after_warmup) = g.pool_stats();
+    let held_after_warmup = g.pool().held();
+    let (_, misses_after_warmup) = g.pool().stats();
 
     // Steady state: held buffers and misses must not creep upward.
     let mut held_seen = Vec::new();
     for _ in 0..64 {
         step(&mut g, &l1, &l2, &x, &t);
-        held_seen.push(g.pool_held());
+        held_seen.push(g.pool().held());
     }
-    let (_, misses_final) = g.pool_stats();
+    let (_, misses_final) = g.pool().stats();
 
     assert_eq!(
         misses_final, misses_after_warmup,
@@ -70,14 +70,14 @@ fn pool_buckets_are_bounded() {
         }
         if round == 16 {
             // Sample once the cap is reached.
-            let baseline = g.pool_held();
+            let baseline = g.pool().held();
             assert!(baseline > 0, "pool never retained anything");
         }
     }
     g.reset();
     assert!(
-        g.pool_held() <= 16,
+        g.pool().held() <= 16,
         "pool held {} buffers for a 4-input workload — bucket cap not enforced",
-        g.pool_held()
+        g.pool().held()
     );
 }

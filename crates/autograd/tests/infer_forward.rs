@@ -1,8 +1,8 @@
 //! Contracts of the inference-only forward path (`Mlp::infer_in`).
 //!
 //! 1. **Graph equivalence**: the pooled, tape-free forward is bitwise
-//!    identical to [`Mlp::infer`] (which records a throwaway graph) for
-//!    every activation.
+//!    identical to the value [`Mlp::forward`] records on a [`Graph`] (the
+//!    training path) for every activation.
 //! 2. **Batch equivalence**: a `[N, in]` batched forward equals the `N`
 //!    single-row forwards bit-for-bit — each output element's
 //!    ascending-`p` accumulation chain is independent of the batch size.
@@ -11,7 +11,7 @@
 
 use hero_autograd::nn::{Activation, Mlp, Module};
 use hero_autograd::serialize::{decode_param_table, encode_params};
-use hero_autograd::{Tensor, TensorPool};
+use hero_autograd::{Graph, Tensor, TensorPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,7 +22,7 @@ fn filled(shape: Vec<usize>, seed: u64) -> Tensor {
 }
 
 #[test]
-fn infer_in_matches_graph_infer_bitwise() {
+fn infer_in_matches_graph_forward_bitwise() {
     for (seed, act) in [
         (11, Activation::Relu),
         (12, Activation::Tanh),
@@ -32,7 +32,10 @@ fn infer_in_matches_graph_infer_bitwise() {
         let mut rng = StdRng::seed_from_u64(seed);
         let net = Mlp::new("t", &[7, 32, 32, 5], act, &mut rng);
         let x = filled(vec![9, 7], seed + 100);
-        let via_graph = net.infer(&x);
+        let mut g = Graph::new();
+        let xn = g.input(x.clone());
+        let y = net.forward(&mut g, xn);
+        let via_graph = g.value(y);
         let mut pool = TensorPool::new();
         let direct = net.infer_in(&x, &mut pool);
         assert_eq!(via_graph.shape(), direct.shape());

@@ -9,7 +9,7 @@
 
 use hero_autograd::nn::{Activation, Mlp, Module};
 use hero_autograd::optim::{Adam, Optimizer};
-use hero_autograd::{loss, Graph, Parameter, Tensor};
+use hero_autograd::{loss, Graph, Parameter, Tensor, TensorPool};
 use rand::rngs::StdRng;
 
 use hero_rl::explore::greedy;
@@ -17,7 +17,7 @@ use hero_rl::rng::{sample_from_logits, softmax};
 use hero_rl::target::{hard_update, soft_update};
 use hero_rl::transition::JointTransition;
 
-use crate::common::{column, MultiAgentAlgorithm, UpdateStats};
+use crate::common::{column, stack_owned, MultiAgentAlgorithm, UpdateStats};
 
 /// COMA hyper-parameters (defaults follow the paper's Table I).
 #[derive(Clone, Copy, Debug)]
@@ -62,6 +62,8 @@ pub struct Coma {
     n_agents: usize,
     obs_dim: usize,
     n_actions: usize,
+    /// Buffers of the inference passes.
+    pool: TensorPool,
 }
 
 impl Coma {
@@ -94,6 +96,7 @@ impl Coma {
             n_agents,
             obs_dim,
             n_actions,
+            pool: TensorPool::new(),
         }
     }
 
@@ -118,11 +121,10 @@ impl Coma {
     }
 
     /// Policy logits of `agent` for a local observation.
-    pub fn logits(&self, agent: usize, obs: &[f32]) -> Vec<f32> {
+    pub fn logits(&mut self, agent: usize, obs: &[f32]) -> Vec<f32> {
         let input = self.actor_input(agent, obs);
-        self.actor
-            .infer(&Tensor::from_vec(vec![1, input.len()], input))
-            .into_data()
+        let x = Tensor::from_vec(vec![1, input.len()], input);
+        self.actor.infer_in(&x, &mut self.pool).into_data()
     }
 
     fn critic_input(&self, agent: usize, t: &JointTransition<usize>, use_next: bool) -> Vec<f32> {
@@ -145,16 +147,6 @@ impl Coma {
             }
         }
         v
-    }
-
-    fn stack(&self, rows: Vec<Vec<f32>>) -> Tensor {
-        let n = rows.len();
-        let d = rows[0].len();
-        let mut data = Vec::with_capacity(n * d);
-        for r in rows {
-            data.extend(r);
-        }
-        Tensor::from_vec(vec![n, d], data)
     }
 }
 
@@ -197,9 +189,12 @@ impl MultiAgentAlgorithm for Coma {
         for i in 0..self.n_agents {
             // Q_target(s', ·) under the *stored* next joint context — the
             // expected SARSA target over agent i's current policy.
-            let next_inputs =
-                self.stack(batch.iter().map(|t| self.critic_input(i, t, true)).collect());
-            let next_q = self.critic_target.infer(&next_inputs);
+            let next_inputs: Vec<Vec<f32>> = batch
+                .iter()
+                .map(|t| self.critic_input(i, t, true))
+                .collect();
+            let next_x = stack_owned(&next_inputs);
+            let next_q = self.critic_target.infer_in(&next_x, &mut self.pool);
             let targets: Vec<f32> = batch
                 .iter()
                 .enumerate()
@@ -220,10 +215,12 @@ impl MultiAgentAlgorithm for Coma {
             // Critic regression on the taken actions.
             let taken: Vec<usize> = batch.iter().map(|t| t.actions[i]).collect();
             let q_all_values = {
-                let inputs =
-                    self.stack(batch.iter().map(|t| self.critic_input(i, t, false)).collect());
+                let inputs: Vec<Vec<f32>> = batch
+                    .iter()
+                    .map(|t| self.critic_input(i, t, false))
+                    .collect();
                 let mut g = Graph::new();
-                let x = g.input(inputs);
+                let x = g.input(stack_owned(&inputs));
                 let q_all = self.critic.forward(&mut g, x);
                 let mask = g.input(Tensor::one_hot(&taken, self.n_actions));
                 let picked = g.mul(q_all, mask);
@@ -251,7 +248,7 @@ impl MultiAgentAlgorithm for Coma {
             // Policy-gradient step: −E[log π(u|o)·A] − entropy bonus.
             {
                 let mut g = Graph::new();
-                let x = g.input(self.stack(actor_inputs));
+                let x = g.input(stack_owned(&actor_inputs));
                 let logits = self.actor.forward(&mut g, x);
                 let logp = g.log_softmax(logits);
                 let mask = g.input(Tensor::one_hot(&taken, self.n_actions));
@@ -351,7 +348,7 @@ mod tests {
         // By construction Σ_a π(a)·A(a) = 0; spot-check through public
         // pieces: advantage of the baseline action equals Q − baseline.
         let mut rng = StdRng::seed_from_u64(2);
-        let algo = Coma::new(2, 2, 3, small_cfg(), &mut rng);
+        let mut algo = Coma::new(2, 2, 3, small_cfg(), &mut rng);
         let logits = algo.logits(0, &[0.5, -0.5]);
         let probs = softmax(&logits);
         let qs = [1.0f32, 2.0, 3.0];

@@ -4,7 +4,7 @@
 
 use hero_autograd::nn::{Activation, Mlp, Module};
 use hero_autograd::optim::{Adam, Optimizer};
-use hero_autograd::{Graph, Parameter, Tensor};
+use hero_autograd::{Graph, Parameter, Tensor, TensorPool};
 use rand::rngs::StdRng;
 
 use hero_rl::buffer::ReplayBuffer;
@@ -93,6 +93,8 @@ pub struct DqnAgent {
     buffer: Replay,
     cfg: DqnConfig,
     n_actions: usize,
+    /// Buffers of the inference passes.
+    pool: TensorPool,
 }
 
 impl DqnAgent {
@@ -117,14 +119,14 @@ impl DqnAgent {
             buffer,
             cfg,
             n_actions,
+            pool: TensorPool::new(),
         }
     }
 
     /// Q-values for one observation.
-    pub fn q_values(&self, obs: &[f32]) -> Vec<f32> {
-        self.q
-            .infer(&Tensor::from_vec(vec![1, obs.len()], obs.to_vec()))
-            .into_data()
+    pub fn q_values(&mut self, obs: &[f32]) -> Vec<f32> {
+        let x = Tensor::from_vec(vec![1, obs.len()], obs.to_vec());
+        self.q.infer_in(&x, &mut self.pool).into_data()
     }
 
     /// ε-greedy (or greedy) action selection.
@@ -178,7 +180,7 @@ impl DqnAgent {
         let actions: Vec<usize> = batch.iter().map(|t| t.action).collect();
 
         // TD target from the target network (no gradient).
-        let next_q = self.q_target.infer(&stack_rows(&next));
+        let next_q = self.q_target.infer_in(&stack_rows(&next), &mut self.pool);
         let targets: Vec<f32> = batch
             .iter()
             .enumerate()

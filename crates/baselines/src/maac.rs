@@ -6,7 +6,7 @@
 
 use hero_autograd::nn::{Activation, Linear, Mlp, Module};
 use hero_autograd::optim::{Adam, Optimizer};
-use hero_autograd::{zero_grads, Graph, NodeId, Parameter, Tensor};
+use hero_autograd::{zero_grads, Graph, NodeId, Parameter, Tensor, TensorPool};
 use rand::rngs::StdRng;
 
 use hero_rl::buffer::ReplayBuffer;
@@ -15,7 +15,7 @@ use hero_rl::rng::{log_softmax, sample_from_logits, softmax};
 use hero_rl::target::{hard_update, soft_update};
 use hero_rl::transition::JointTransition;
 
-use crate::common::{column, MultiAgentAlgorithm, UpdateStats};
+use crate::common::{column, stack_owned, MultiAgentAlgorithm, UpdateStats};
 
 /// MAAC hyper-parameters (defaults follow the paper's Table I; attention
 /// uses 2 heads over the 32-wide embeddings).
@@ -200,6 +200,8 @@ pub struct Maac {
     n_agents: usize,
     obs_dim: usize,
     n_actions: usize,
+    /// Buffers of the actor inference passes.
+    pool: TensorPool,
 }
 
 impl Maac {
@@ -236,6 +238,7 @@ impl Maac {
             n_agents,
             obs_dim,
             n_actions,
+            pool: TensorPool::new(),
         }
     }
 
@@ -260,21 +263,17 @@ impl Maac {
     }
 
     /// Policy logits of `agent` for a local observation.
-    pub fn logits(&self, agent: usize, obs: &[f32]) -> Vec<f32> {
-        let input = self.actor_input(agent, obs);
-        self.actor
-            .infer(&Tensor::from_vec(vec![1, input.len()], input))
-            .into_data()
+    pub fn logits(&mut self, agent: usize, obs: &[f32]) -> Vec<f32> {
+        let x = self.actor_batch(agent, &[obs.to_vec()]);
+        self.actor.infer_in(&x, &mut self.pool).into_data()
     }
 
-    fn stack(&self, rows: Vec<Vec<f32>>) -> Tensor {
-        let n = rows.len();
-        let d = rows[0].len();
-        let mut data = Vec::with_capacity(n * d);
-        for r in rows {
-            data.extend(r);
-        }
-        Tensor::from_vec(vec![n, d], data)
+    /// The stacked actor inputs `[obs ‖ onehot(agent)]` of `agent`'s local
+    /// observations: one actor pass over them gives every row's logits,
+    /// row `r` bitwise the one-row pass on `obs[r]`.
+    fn actor_batch(&self, agent: usize, obs: &[Vec<f32>]) -> Tensor {
+        let rows: Vec<Vec<f32>> = obs.iter().map(|o| self.actor_input(agent, o)).collect();
+        stack_owned(&rows)
     }
 
     fn pair_vec(&self, obs: &[f32], action: usize) -> Vec<f32> {
@@ -295,17 +294,16 @@ impl Maac {
         actions: &[Vec<usize>],
     ) -> Tensor {
         let mut g = Graph::new();
-        let ego =
-            g.input(self.stack(obs[i].iter().map(|o| self.actor_input(i, o)).collect()));
+        let ego = g.input(self.actor_batch(i, &obs[i]));
         let pairs: Vec<Option<NodeId>> = (0..self.n_agents)
             .map(|j| {
                 (j != i).then(|| {
-                    let rows = obs[j]
+                    let rows: Vec<Vec<f32>> = obs[j]
                         .iter()
                         .zip(actions.iter().map(|row| row[j]))
                         .map(|(o, a)| self.pair_vec(o, a))
                         .collect();
-                    g.input(self.stack(rows))
+                    g.input(stack_owned(&rows))
                 })
             })
             .collect();
@@ -363,11 +361,18 @@ impl MultiAgentAlgorithm for Maac {
             .collect();
         let taken: Vec<Vec<usize>> = batch.iter().map(|t| t.actions.clone()).collect();
 
-        // Sample next joint actions from the current policies.
+        // Sample next joint actions from the current policies: one actor
+        // pass per agent, then the draws in row-then-agent order.
+        let mut next_logits = Vec::with_capacity(self.n_agents);
+        for (j, obs) in per_next.iter().enumerate() {
+            let x = self.actor_batch(j, obs);
+            next_logits.push(self.actor.infer_in(&x, &mut self.pool));
+        }
         let next_actions: Vec<Vec<usize>> = (0..n)
             .map(|row| {
-                (0..self.n_agents)
-                    .map(|j| sample_from_logits(rng, &self.logits(j, &per_next[j][row])))
+                next_logits
+                    .iter()
+                    .map(|logits| sample_from_logits(rng, logits.row(row)))
                     .collect()
             })
             .collect();
@@ -377,6 +382,8 @@ impl MultiAgentAlgorithm for Maac {
         for i in 0..self.n_agents {
             // Soft TD target: r + γ·E_{a~π}[Q_t(s', a) − α·log π(a|o')].
             let next_q = self.critic_values(true, i, &per_next, &next_actions);
+            let next_x = self.actor_batch(i, &per_next[i]);
+            let next_pi = self.actor.infer_in(&next_x, &mut self.pool);
             let targets: Vec<f32> = batch
                 .iter()
                 .enumerate()
@@ -384,9 +391,9 @@ impl MultiAgentAlgorithm for Maac {
                     if t.done {
                         return t.rewards[i];
                     }
-                    let logits = self.logits(i, &t.next_obs[i]);
-                    let probs = softmax(&logits);
-                    let logps = log_softmax(&logits);
+                    let logits = next_pi.row(row);
+                    let probs = softmax(logits);
+                    let logps = log_softmax(logits);
                     let soft_v: f32 = probs
                         .iter()
                         .zip(next_q.row(row))
@@ -400,18 +407,16 @@ impl MultiAgentAlgorithm for Maac {
             // Critic regression on the taken actions.
             let q_all_pre = {
                 let mut g = Graph::new();
-                let ego = g.input(
-                    self.stack(per_obs[i].iter().map(|o| self.actor_input(i, o)).collect()),
-                );
+                let ego = g.input(self.actor_batch(i, &per_obs[i]));
                 let pairs: Vec<Option<NodeId>> = (0..self.n_agents)
                     .map(|j| {
                         (j != i).then(|| {
-                            let rows = per_obs[j]
+                            let rows: Vec<Vec<f32>> = per_obs[j]
                                 .iter()
                                 .zip(taken.iter().map(|row| row[j]))
                                 .map(|(o, a)| self.pair_vec(o, a))
                                 .collect();
-                            g.input(self.stack(rows))
+                            g.input(stack_owned(&rows))
                         })
                     })
                     .collect();
@@ -431,23 +436,23 @@ impl MultiAgentAlgorithm for Maac {
 
             // Actor step: ∇ log π(a|o)·(α·log π(a|o) − (Q(a) − b)) with the
             // critic treated as constant and b the counterfactual baseline.
+            let actor_x = self.actor_batch(i, &per_obs[i]);
+            let pi = self.actor.infer_in(&actor_x, &mut self.pool);
             let mut coeffs = Vec::with_capacity(n);
             let mut own_actions = Vec::with_capacity(n);
-            let mut actor_rows = Vec::with_capacity(n);
             for (row, t) in batch.iter().enumerate() {
-                let logits = self.logits(i, &t.obs[i]);
-                let probs = softmax(&logits);
-                let logps = log_softmax(&logits);
+                let logits = pi.row(row);
+                let probs = softmax(logits);
+                let logps = log_softmax(logits);
                 let qs = q_all_pre.row(row);
                 let baseline: f32 = probs.iter().zip(qs).map(|(p, q)| p * q).sum();
                 let a = t.actions[i];
                 coeffs.push(self.cfg.alpha * logps[a] - (qs[a] - baseline));
                 own_actions.push(a);
-                actor_rows.push(self.actor_input(i, &t.obs[i]));
             }
             {
                 let mut g = Graph::new();
-                let x = g.input(self.stack(actor_rows));
+                let x = g.input(actor_x);
                 let logits = self.actor.forward(&mut g, x);
                 let logp = g.log_softmax(logits);
                 let mask = g.input(Tensor::one_hot(&own_actions, self.n_actions));

@@ -9,7 +9,7 @@
 
 use hero_autograd::nn::{Activation, Mlp, Module};
 use hero_autograd::optim::{Adam, Optimizer};
-use hero_autograd::{loss, zero_grads, Graph, Parameter, Tensor};
+use hero_autograd::{loss, zero_grads, Graph, Parameter, Tensor, TensorPool};
 use rand::rngs::StdRng;
 
 use hero_rl::buffer::ReplayBuffer;
@@ -72,6 +72,8 @@ pub struct Maddpg {
     cfg: MaddpgConfig,
     obs_dim: usize,
     n_actions: usize,
+    /// Buffers of the inference passes.
+    pool: TensorPool,
 }
 
 impl Maddpg {
@@ -116,6 +118,7 @@ impl Maddpg {
             cfg,
             obs_dim,
             n_actions,
+            pool: TensorPool::new(),
         }
     }
 
@@ -160,12 +163,12 @@ impl Maddpg {
         Tensor::from_vec(vec![n, width], data)
     }
 
-    fn actor_logits(&self, agent: usize, net: TargetOrOnline, obs: &Tensor) -> Tensor {
+    fn actor_logits(&mut self, agent: usize, net: TargetOrOnline, obs: &Tensor) -> Tensor {
         let net = match net {
             TargetOrOnline::Online => &self.agents[agent].actor,
             TargetOrOnline::Target => &self.agents[agent].actor_target,
         };
-        net.infer(obs)
+        net.infer_in(obs, &mut self.pool)
     }
 }
 

@@ -2,7 +2,7 @@
 //! the SMDP segment bookkeeping that turns environment steps into option
 //! transitions (Algorithm 1).
 
-use hero_autograd::CheckpointError;
+use hero_autograd::{CheckpointError, TensorPool};
 use hero_baselines::common::UpdateStats;
 use hero_rl::snapshot::{self, Codec};
 use rand::rngs::StdRng;
@@ -95,6 +95,9 @@ pub struct HeroAgent {
     /// Telemetry namespace label (e.g. `agent0`); see
     /// [`HeroAgent::set_metric_label`].
     metric_label: String,
+    /// Buffers for the single-row decide forward in
+    /// [`HeroAgent::ensure_option`].
+    pool: TensorPool,
 }
 
 impl HeroAgent {
@@ -121,7 +124,29 @@ impl HeroAgent {
             selections: 0,
             opponent_losses: vec![Vec::new(); n_opponents],
             metric_label: "agent".to_string(),
+            pool: TensorPool::new(),
         }
+    }
+
+    /// Number of network weights [`HeroAgent::new`] builds for `obs_dim`
+    /// observations, `n_opponents` other agents and `hidden`-wide layers:
+    /// the actor, the critic and its target, and one opponent net per
+    /// opponent. `None` when the count overflows `usize`. Lets a caller
+    /// bound an agent's size before allocating it.
+    pub fn weight_count(obs_dim: usize, n_opponents: usize, hidden: usize) -> Option<usize> {
+        let k = DrivingOption::COUNT;
+        let mlp = |dims: [usize; 4]| {
+            dims.windows(2).try_fold(0usize, |acc, w| {
+                acc.checked_add(w[0].checked_mul(w[1])?.checked_add(w[1])?)
+            })
+        };
+        let actor_in = obs_dim.checked_add(n_opponents.checked_mul(k)?)?;
+        let actor = mlp([actor_in, hidden, hidden, k])?;
+        let critic = mlp([actor_in.checked_add(k)?, hidden, hidden, 1])?;
+        let opponent = mlp([obs_dim, hidden, hidden, k])?;
+        actor
+            .checked_add(critic.checked_mul(2)?)?
+            .checked_add(opponent.checked_mul(n_opponents)?)
     }
 
     /// Sets the label under which this agent's learning-health metrics are
@@ -153,8 +178,9 @@ impl HeroAgent {
     /// `logits` are this observation's policy logits when the caller
     /// already computed them in a batched forward pass
     /// ([`HeroAgent::batch_logits`]); `None` runs the single-row forward.
-    /// Randomness and telemetry are the same either way; only the logits
-    /// bits may differ (batched vs single-row matmul accumulation order).
+    /// The choice changes nothing: rows are independent under the strict
+    /// kernels, so a batched row is bitwise the single-row forward, and
+    /// randomness and telemetry follow the same order either way.
     ///
     /// `others_last` are the most recent *observed* options of the other
     /// agents (`o^{-i}_{1:t-1}` in the paper).
@@ -175,8 +201,9 @@ impl HeroAgent {
             let logits = match logits {
                 Some(row) => row,
                 None => {
-                    let opp_probs = self.opponent.predict_probs(high_obs);
-                    computed = self.high.logits(high_obs, &opp_probs);
+                    let mut pool = std::mem::take(&mut self.pool);
+                    computed = self.batch_logits(&[high_obs], &mut pool).remove(0);
+                    self.pool = pool;
                     &computed
                 }
             };
@@ -185,36 +212,31 @@ impl HeroAgent {
         cur.active.expect("option just ensured").option
     }
 
-    /// Policy logits for a batch of high-level observations in one forward
-    /// pass each through the opponent model and the actor. Row `r` of the
-    /// result corresponds to `rows[r]`.
-    pub fn batch_logits(&self, rows: &[&[f32]]) -> Vec<Vec<f32>> {
-        let Some(obs) = stack_rows(rows) else {
-            return Vec::new();
-        };
-        let opp = self.opponent.predict_probs_batch(&obs);
-        self.high.logits_batch(&obs, &opp)
-    }
-
-    /// [`HeroAgent::batch_logits`] through the inference-only forward
-    /// path: no autodiff graphs, activations recycled via `pool`. This is
-    /// the serving daemon's hot path — the logits are bitwise identical
-    /// to [`HeroAgent::batch_logits`], and row `r` of an `[n, d]` batch is
-    /// bitwise identical to a 1-row call on `rows[r]` alone.
+    /// Policy logits for a batch of high-level observations, in one
+    /// forward pass each through the opponent model and the actor, with
+    /// every buffer drawn from `pool`. Row `r` of the result corresponds
+    /// to `rows[r]` and is bitwise identical to a one-row call on
+    /// `rows[r]` alone. This is the batched decide and the serving
+    /// daemon's hot path.
     ///
     /// # Panics
     ///
     /// Panics on a ragged batch (rows of differing widths).
-    pub fn batch_logits_in(
-        &self,
-        rows: &[&[f32]],
-        pool: &mut hero_autograd::TensorPool,
-    ) -> Vec<Vec<f32>> {
-        let Some(obs) = stack_rows(rows) else {
+    pub fn batch_logits(&self, rows: &[&[f32]], pool: &mut TensorPool) -> Vec<Vec<f32>> {
+        let Some(d) = rows.first().map(|r| r.len()) else {
             return Vec::new();
         };
-        let opp = self.opponent.predict_probs_batch_in(&obs, pool);
-        self.high.logits_batch_in(&obs, &opp, pool)
+        let obs = pool.matrix(rows.len(), d, |data| {
+            for row in rows {
+                assert_eq!(row.len(), d, "ragged observation batch");
+                data.extend_from_slice(row);
+            }
+        });
+        let opp = self.opponent.predict_probs(&obs, pool);
+        let logits = self.high.logits(&obs, &opp, pool);
+        crate::highlevel::recycle(pool, opp);
+        pool.put(obs.into_data());
+        logits
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -459,22 +481,6 @@ impl HeroAgent {
     }
 }
 
-/// Stacks equal-width observation rows into one `[n, d]` tensor; `None`
-/// for an empty batch.
-///
-/// # Panics
-///
-/// Panics on a ragged batch (rows of differing widths).
-fn stack_rows(rows: &[&[f32]]) -> Option<hero_autograd::Tensor> {
-    let d = rows.first()?.len();
-    let mut flat = Vec::with_capacity(rows.len() * d);
-    for row in rows {
-        assert_eq!(row.len(), d, "ragged observation batch");
-        flat.extend_from_slice(row);
-    }
-    Some(hero_autograd::Tensor::from_vec(vec![rows.len(), d], flat))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,6 +515,26 @@ mod tests {
     }
 
     #[test]
+    fn weight_count_matches_the_built_networks() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let agent = HeroAgent::new(5, 2, cfg(), &mut rng);
+        let sections = agent.save_state();
+        let weights: usize = ["high/params", "high/critic_target", "opp/params"]
+            .iter()
+            .map(|name| {
+                let bytes = hero_autograd::serialize::require_section(&sections, name).unwrap();
+                hero_autograd::serialize::decode_param_table(bytes)
+                    .unwrap()
+                    .iter()
+                    .map(|e| e.data.len())
+                    .sum::<usize>()
+            })
+            .sum();
+        assert_eq!(HeroAgent::weight_count(5, 2, cfg().hidden), Some(weights));
+        assert_eq!(HeroAgent::weight_count(usize::MAX, 1, 2), None, "overflow");
+    }
+
+    #[test]
     fn ensure_option_is_sticky_until_termination() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut agent = HeroAgent::new(3, 1, cfg(), &mut rng);
@@ -535,7 +561,7 @@ mod tests {
             AgentCursor::new(),
             StdRng::seed_from_u64(7),
         );
-        let logits = b.batch_logits(&[&obs]).remove(0);
+        let logits = b.batch_logits(&[&obs], &mut TensorPool::new()).remove(0);
         for _ in 0..5 {
             let oa = a.ensure_option(&mut cur_a, None, &obs, &state(0.2), &track, &[1], &mut rng_a, true);
             let ob = b.ensure_option(

@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use hero_baselines::common::UpdateStats;
-use hero_rl::buffer::ReplayBuffer;
+use hero_rl::buffer::{Draw, ReplayBuffer};
 use hero_rl::snapshot;
 use hero_rl::explore::greedy;
 use hero_rl::rng::sample_from_logits;
@@ -28,14 +28,15 @@ use hero_rl::target::{hard_update, soft_update};
 use hero_rl::transition::OptionTransition;
 
 use crate::config::HeroConfig;
-use crate::opponent::OpponentModel;
+use crate::opponent::{push_one_hot, OpponentModel};
 
 /// A pre-sampled minibatch of option segments for
 /// [`HighLevelLearner::update_batch`], produced by
-/// [`HighLevelLearner::sample_batch`].
+/// [`HighLevelLearner::sample_batch`]: replay slots, valid until the next
+/// [`HighLevelLearner::store`].
 #[derive(Clone, Debug)]
 pub struct HighLevelBatch {
-    batch: Vec<OptionTransition>,
+    draw: Draw,
 }
 
 /// The per-agent high-level learner.
@@ -54,7 +55,8 @@ pub struct HighLevelLearner {
     entropy_weight: f32,
     n_options: usize,
     n_opponents: usize,
-    /// Reused tape arena for update passes (see `Graph::reset`).
+    /// The update's arena (see `Graph::reset`): the tape, and through
+    /// [`Graph::pool`] every inference pass and input row of the update.
     graph: Graph,
 }
 
@@ -107,52 +109,23 @@ impl HighLevelLearner {
         self.buffer.len()
     }
 
-    fn actor_input(&self, obs: &[f32], opp_probs: &[Vec<f32>]) -> Vec<f32> {
-        assert_eq!(opp_probs.len(), self.n_opponents, "opponent arity mismatch");
-        let mut v = obs.to_vec();
-        for p in opp_probs {
-            assert_eq!(p.len(), self.n_options, "opponent distribution width");
-            v.extend_from_slice(p);
-        }
-        v
-    }
-
-    fn critic_input(&self, obs: &[f32], option: usize, others: &[Vec<f32>]) -> Vec<f32> {
-        let mut v = obs.to_vec();
-        for k in 0..self.n_options {
-            v.push(if k == option { 1.0 } else { 0.0 });
-        }
-        for p in others {
-            v.extend_from_slice(p);
-        }
-        v
-    }
-
-    fn one_hot(&self, option: usize) -> Vec<f32> {
-        let mut v = vec![0.0; self.n_options];
-        v[option] = 1.0;
-        v
-    }
-
-    /// Policy logits given the own state and predicted opponent options.
-    pub fn logits(&self, obs: &[f32], opp_probs: &[Vec<f32>]) -> Vec<f32> {
-        let input = self.actor_input(obs, opp_probs);
-        self.actor
-            .infer(&Tensor::from_vec(vec![1, input.len()], input))
-            .into_data()
-    }
-
     /// Policy logits for a batch of `[n, obs_dim]` states with per-opponent
-    /// `[n, n_options]` predicted distributions, in one actor forward pass.
-    /// Row `r` of the result matches [`HighLevelLearner::logits`] on row `r`
-    /// of the inputs up to matmul accumulation order (the batched rollout
-    /// engine's documented tolerance; the scalar path is used whenever
-    /// bitwise equality with sequential training is required).
-    pub fn logits_batch(&self, obs: &Tensor, opp_probs: &[Tensor]) -> Vec<Vec<f32>> {
+    /// `[n, n_options]` predicted distributions, in one actor forward pass
+    /// whose buffers come from `pool`. Row `r` of the result is bitwise
+    /// identical to a one-row call on row `r` of the inputs alone: rows
+    /// are independent under the strict kernels.
+    pub fn logits(
+        &self,
+        obs: &Tensor,
+        opp_probs: &[Tensor],
+        pool: &mut TensorPool,
+    ) -> Vec<Vec<f32>> {
         assert_eq!(opp_probs.len(), self.n_opponents, "opponent arity mismatch");
-        let input = concat_rows(obs, opp_probs);
-        let out = self.actor.infer(&input);
-        (0..obs.shape()[0]).map(|r| out.row(r).to_vec()).collect()
+        let input = concat_rows(obs, opp_probs, pool);
+        let out = self.actor.infer_in(&input, pool);
+        let rows = (0..obs.shape()[0]).map(|r| out.row(r).to_vec()).collect();
+        recycle(pool, [input, out]);
+        rows
     }
 
     /// Number of high-level options in the action space.
@@ -160,41 +133,10 @@ impl HighLevelLearner {
         self.n_options
     }
 
-    /// [`HighLevelLearner::logits_batch`] through the inference-only
-    /// forward path: no autodiff graph, actor activations recycled via
-    /// `pool`. Bitwise identical to the graph path.
-    pub fn logits_batch_in(
-        &self,
-        obs: &Tensor,
-        opp_probs: &[Tensor],
-        pool: &mut TensorPool,
-    ) -> Vec<Vec<f32>> {
-        assert_eq!(opp_probs.len(), self.n_opponents, "opponent arity mismatch");
-        let input = concat_rows(obs, opp_probs);
-        let out = self.actor.infer_in(&input, pool);
-        let rows = (0..obs.shape()[0]).map(|r| out.row(r).to_vec()).collect();
-        pool.put(out.into_data());
-        rows
-    }
-
-    /// Selects an option: greedy when `explore` is false; otherwise
-    /// sampled from the softmax policy with ε-uniform mixing.
-    pub fn select_option(
-        &self,
-        obs: &[f32],
-        opp_probs: &[Vec<f32>],
-        rng: &mut StdRng,
-        explore: bool,
-        epsilon: f32,
-    ) -> usize {
-        let logits = self.logits(obs, opp_probs);
-        self.select_from_logits(&logits, rng, explore, epsilon)
-    }
-
-    /// The selection half of [`HighLevelLearner::select_option`], operating
-    /// on precomputed logits. Consumes randomness in exactly the same
-    /// order: one `gen::<f32>()` for the ε gate, then either a uniform
-    /// `gen_range` or a softmax sample.
+    /// Selects an option from precomputed policy logits: greedy when
+    /// `explore` is false; otherwise sampled from the softmax policy with
+    /// ε-uniform mixing. Consumes one `gen::<f32>()` for the ε gate, then
+    /// either a uniform `gen_range` or a softmax sample.
     pub fn select_from_logits(
         &self,
         logits: &[f32],
@@ -217,15 +159,6 @@ impl HighLevelLearner {
         self.buffer.push(t);
     }
 
-    /// Critic estimate `Q_h(s, o, o^{-i})` with one-hot opponent options.
-    pub fn q_value(&self, obs: &[f32], option: usize, other_options: &[usize]) -> f32 {
-        let others: Vec<Vec<f32>> = other_options.iter().map(|&o| self.one_hot(o)).collect();
-        let input = self.critic_input(obs, option, &others);
-        self.critic
-            .infer(&Tensor::from_vec(vec![1, input.len()], input))
-            .into_data()[0]
-    }
-
     /// One actor–critic update using the opponent model for TD targets;
     /// `None` before warm-up.
     pub fn update(&mut self, rng: &mut StdRng, opponent: &OpponentModel) -> Option<UpdateStats> {
@@ -241,83 +174,96 @@ impl HighLevelLearner {
         if self.buffer.len() < need.max(8) {
             return None;
         }
-        let batch: Vec<OptionTransition> = {
+        let n = self.batch_size.min(self.buffer.len().max(8));
+        let draw = {
             let _span = hero_rl::telemetry::span("replay_sample");
-            self.buffer
-                .sample(rng, self.batch_size.min(self.buffer.len().max(8)))
-                .into_iter()
-                .cloned()
-                .collect()
+            self.buffer.draw(rng, n)
         };
-        hero_rl::telemetry::counter_add("transitions_sampled", batch.len() as u64);
-        Some(HighLevelBatch { batch })
+        hero_rl::telemetry::counter_add("transitions_sampled", n as u64);
+        Some(HighLevelBatch { draw })
     }
 
     /// The compute half of [`HighLevelLearner::update`]: critic regression
     /// and counterfactual-baseline policy gradient on the pre-sampled
     /// `batch`. Consumes no randomness.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a segment was stored since `batch` was drawn.
     pub fn update_batch(
         &mut self,
         batch: &HighLevelBatch,
         opponent: &OpponentModel,
     ) -> UpdateStats {
-        let batch = &batch.batch;
+        let batch = self.buffer.resolve(&batch.draw);
         let n = batch.len();
         let obs_dim = batch[0].obs.len();
+        let n_options = self.n_options;
+        // Critic input: own state, own option one-hot, then the opponents'
+        // options (one-hot, or predicted distributions in the TD target).
+        let critic_width = obs_dim + n_options * (1 + self.n_opponents);
+        let critic_row = |d: &mut Vec<f32>, t: &OptionTransition, option: usize| {
+            d.extend_from_slice(&t.obs);
+            push_one_hot(d, option, n_options);
+            for &o in &t.other_options {
+                push_one_hot(d, o, n_options);
+            }
+        };
 
-        // Batched tensors of the segment start/end states.
-        let obs_rows: Vec<&[f32]> = batch.iter().map(|t| t.obs.as_slice()).collect();
-        let next_rows: Vec<&[f32]> = batch.iter().map(|t| t.next_obs.as_slice()).collect();
-        let obs_t = stack_refs(&obs_rows, obs_dim);
-        let next_t = stack_refs(&next_rows, obs_dim);
+        // One arena serves every pass of the update (see `Graph::reset`):
+        // the tape, the inference activations and the input rows all
+        // recycle through the graph's pool, so steady-state updates stop
+        // allocating per minibatch.
+        let mut g = std::mem::take(&mut self.graph);
+        g.reset();
 
         // TD target: r_{t:t+c} + γ^c · Q_target(s', π_h(s', ô'), ô'),
         // with the opponent model's probabilities fed straight into the
         // target critic (no sampling) — all batched.
-        let opp_next = opponent.predict_probs_batch(&next_t);
-        let next_actor_in = concat_rows(&next_t, &opp_next);
-        let next_logits = self.actor.infer(&next_actor_in);
-        let mut target_rows = Vec::with_capacity(n);
-        for row in 0..n {
-            let next_o = greedy(next_logits.row(row));
-            let mut v = next_t.row(row).to_vec();
-            v.extend(self.one_hot(next_o));
-            for opp in &opp_next {
-                v.extend_from_slice(opp.row(row));
-            }
-            target_rows.push(v);
-        }
-        let q_next = self.critic_target.infer(&stack(&target_rows));
-        let targets: Vec<f32> = batch
-            .iter()
-            .enumerate()
-            .map(|(row, t)| {
-                if t.done {
-                    t.reward
-                } else {
-                    t.reward + self.gamma.powi(t.duration as i32) * q_next.row(row)[0]
+        let (critic_x, targets) = {
+            let pool = g.pool();
+            let next_t = pool.matrix(n, obs_dim, |d| {
+                for t in &batch {
+                    d.extend_from_slice(&t.next_obs);
                 }
-            })
-            .collect();
+            });
+            let opp_next = opponent.predict_probs(&next_t, pool);
+            let next_in = concat_rows(&next_t, &opp_next, pool);
+            let next_logits = self.actor.infer_in(&next_in, pool);
+            let target_in = pool.matrix(n, critic_width, |d| {
+                for row in 0..n {
+                    d.extend_from_slice(next_t.row(row));
+                    push_one_hot(d, greedy(next_logits.row(row)), n_options);
+                    for opp in &opp_next {
+                        d.extend_from_slice(opp.row(row));
+                    }
+                }
+            });
+            let q_next = self.critic_target.infer_in(&target_in, pool);
+            let targets = pool.matrix(n, 1, |d| {
+                for (row, t) in batch.iter().enumerate() {
+                    d.push(if t.done {
+                        t.reward
+                    } else {
+                        t.reward + self.gamma.powi(t.duration as i32) * q_next.row(row)[0]
+                    });
+                }
+            });
+            // Critic regression input: the observed joint options.
+            let critic_x = pool.matrix(n, critic_width, |d| {
+                for t in &batch {
+                    critic_row(d, t, t.option);
+                }
+            });
+            recycle(pool, [next_t, next_in, next_logits, target_in, q_next]);
+            recycle(pool, opp_next);
+            (critic_x, targets)
+        };
 
-        // Critic regression on observed joint options.
-        let critic_rows: Vec<Vec<f32>> = batch
-            .iter()
-            .map(|t| {
-                let others: Vec<Vec<f32>> =
-                    t.other_options.iter().map(|&o| self.one_hot(o)).collect();
-                self.critic_input(&t.obs, t.option, &others)
-            })
-            .collect();
         let critic_loss = {
-            // One graph arena serves both passes of every update (see
-            // `Graph::reset`): node and gradient buffers are recycled, so
-            // steady-state updates stop allocating per minibatch.
-            let mut g = std::mem::take(&mut self.graph);
-            g.reset();
-            let x = g.input(stack(&critic_rows));
+            let x = g.input(critic_x);
             let q = self.critic.forward(&mut g, x);
-            let y = g.input(Tensor::from_vec(vec![n, 1], targets));
+            let y = g.input(targets);
             let l = loss::mse(&mut g, q, y);
             let v = g.value(l).item();
             if hero_rl::telemetry::is_enabled() {
@@ -333,52 +279,61 @@ impl HighLevelLearner {
             }
             g.backward(l);
             self.critic_opt.step();
-            self.graph = g;
             v
         };
 
         // Advantage = Q(s, o_t, o^{-i}_t) − Σ_o π(o)·Q(s, o, o^{-i}_t)
-        // (counterfactual-style baseline for variance reduction); one
-        // batched critic pass per option.
-        let opp_now = opponent.predict_probs_batch(&obs_t);
-        let actor_in = concat_rows(&obs_t, &opp_now);
-        let logits_t = self.actor.infer(&actor_in);
-        let q_per_option: Vec<Tensor> = (0..self.n_options)
-            .map(|o| {
-                let rows: Vec<Vec<f32>> = batch
-                    .iter()
-                    .map(|t| {
-                        let others: Vec<Vec<f32>> =
-                            t.other_options.iter().map(|&x| self.one_hot(x)).collect();
-                        self.critic_input(&t.obs, o, &others)
-                    })
-                    .collect();
-                self.critic.infer(&stack(&rows))
-            })
-            .collect();
-        let mut actor_rows = Vec::with_capacity(n);
-        let mut advantages = Vec::with_capacity(n);
-        let mut taken = Vec::with_capacity(n);
-        for (row, t) in batch.iter().enumerate() {
-            let probs = hero_rl::rng::softmax(logits_t.row(row));
-            let q_all: Vec<f32> = (0..self.n_options)
-                .map(|o| q_per_option[o].row(row)[0])
-                .collect();
-            let baseline: f32 = probs.iter().zip(&q_all).map(|(p, q)| p * q).sum();
-            advantages.push(q_all[t.option] - baseline);
-            taken.push(t.option);
-            actor_rows.push(actor_in.row(row).to_vec());
-        }
+        // (counterfactual-style baseline for variance reduction), from one
+        // critic pass over the batch stacked once per option: row
+        // `o·n + r` is row `r` with option `o`.
+        g.reset();
+        let (actor_x, taken, advantages) = {
+            let pool = g.pool();
+            let obs_t = pool.matrix(n, obs_dim, |d| {
+                for t in &batch {
+                    d.extend_from_slice(&t.obs);
+                }
+            });
+            let opp_now = opponent.predict_probs(&obs_t, pool);
+            let actor_in = concat_rows(&obs_t, &opp_now, pool);
+            let logits_t = self.actor.infer_in(&actor_in, pool);
+            let q_in = pool.matrix(n_options * n, critic_width, |d| {
+                for o in 0..n_options {
+                    for t in &batch {
+                        critic_row(d, t, o);
+                    }
+                }
+            });
+            let q_all = self.critic.infer_in(&q_in, pool);
+            let q = q_all.data();
+            let advantages = pool.matrix(n, 1, |d| {
+                for (row, t) in batch.iter().enumerate() {
+                    let probs = hero_rl::rng::softmax(logits_t.row(row));
+                    let baseline: f32 = probs
+                        .iter()
+                        .enumerate()
+                        .map(|(o, p)| p * q[o * n + row])
+                        .sum();
+                    d.push(q[t.option * n + row] - baseline);
+                }
+            });
+            let taken = pool.matrix(n, n_options, |d| {
+                for t in &batch {
+                    push_one_hot(d, t.option, n_options);
+                }
+            });
+            recycle(pool, [obs_t, logits_t, q_in, q_all]);
+            recycle(pool, opp_now);
+            (actor_in, taken, advantages)
+        };
         let actor_loss = {
-            let mut g = std::mem::take(&mut self.graph);
-            g.reset();
-            let x = g.input(stack(&actor_rows));
+            let x = g.input(actor_x);
             let logits = self.actor.forward(&mut g, x);
             let logp = g.log_softmax(logits);
-            let mask = g.input(Tensor::one_hot(&taken, self.n_options));
+            let mask = g.input(taken);
             let picked = g.mul(logp, mask);
             let logp_u = g.sum_rows(picked);
-            let adv = g.input(Tensor::from_vec(vec![n, 1], advantages));
+            let adv = g.input(advantages);
             let weighted = g.mul(logp_u, adv);
             let pg = g.mean(weighted);
             let pg_loss = g.neg(pg);
@@ -389,9 +344,9 @@ impl HighLevelLearner {
             g.backward(l);
             self.actor_opt.step();
             zero_grads(self.critic_opt.parameters());
-            self.graph = g;
             v
         };
+        self.graph = g;
 
         soft_update(
             &self.critic.parameters(),
@@ -464,37 +419,26 @@ impl HighLevelLearner {
     }
 }
 
-fn stack(rows: &[Vec<f32>]) -> Tensor {
-    let n = rows.len();
-    let d = rows[0].len();
-    let mut data = Vec::with_capacity(n * d);
-    for r in rows {
-        data.extend_from_slice(r);
-    }
-    Tensor::from_vec(vec![n, d], data)
-}
-
-fn stack_refs(rows: &[&[f32]], d: usize) -> Tensor {
-    let mut data = Vec::with_capacity(rows.len() * d);
-    for r in rows {
-        data.extend_from_slice(r);
-    }
-    Tensor::from_vec(vec![rows.len(), d], data)
-}
-
 /// Concatenates a `[n, a]` tensor with several `[n, b_i]` tensors along
-/// columns.
-fn concat_rows(base: &Tensor, extras: &[Tensor]) -> Tensor {
+/// columns, into a buffer from `pool`.
+fn concat_rows(base: &Tensor, extras: &[Tensor], pool: &mut TensorPool) -> Tensor {
     let n = base.shape()[0];
     let width = base.shape()[1] + extras.iter().map(|t| t.shape()[1]).sum::<usize>();
-    let mut data = Vec::with_capacity(n * width);
-    for row in 0..n {
-        data.extend_from_slice(base.row(row));
-        for e in extras {
-            data.extend_from_slice(e.row(row));
+    pool.matrix(n, width, |data| {
+        for row in 0..n {
+            data.extend_from_slice(base.row(row));
+            for e in extras {
+                data.extend_from_slice(e.row(row));
+            }
         }
+    })
+}
+
+/// Hands every tensor's buffer back to `pool`.
+pub(crate) fn recycle(pool: &mut TensorPool, tensors: impl IntoIterator<Item = Tensor>) {
+    for t in tensors {
+        pool.put(t.into_data());
     }
-    Tensor::from_vec(vec![n, width], data)
 }
 
 #[cfg(test)]
@@ -511,25 +455,41 @@ mod tests {
         }
     }
 
-    fn uniform_opp(n_opponents: usize, n_options: usize) -> Vec<Vec<f32>> {
-        vec![vec![1.0 / n_options as f32; n_options]; n_opponents]
-    }
-
     fn opponent(rng: &mut StdRng) -> OpponentModel {
         OpponentModel::new(1, 3, 4, 16, 0.01, 0.01, 1000, 32, rng)
     }
+
+    /// Logits for one state, with one opponent's predicted distribution.
+    fn logits_of(hl: &HighLevelLearner, obs: &[f32], opp: &[f32]) -> Vec<f32> {
+        let x = Tensor::from_vec(vec![1, obs.len()], obs.to_vec());
+        let p = Tensor::from_vec(vec![1, opp.len()], opp.to_vec());
+        hl.logits(&x, &[p], &mut TensorPool::new()).remove(0)
+    }
+
+    /// The critic's `Q_h(s, o, o^{-i})` with one-hot opponent options.
+    fn q_value(hl: &HighLevelLearner, obs: &[f32], option: usize, others: &[usize]) -> f32 {
+        let mut row = obs.to_vec();
+        push_one_hot(&mut row, option, hl.n_options);
+        for &o in others {
+            push_one_hot(&mut row, o, hl.n_options);
+        }
+        let x = Tensor::from_vec(vec![1, row.len()], row);
+        hl.critic.infer_in(&x, &mut TensorPool::new()).item()
+    }
+
+    const UNIFORM: [f32; 4] = [0.25; 4];
 
     #[test]
     fn select_option_in_range() {
         let mut rng = StdRng::seed_from_u64(0);
         let hl = HighLevelLearner::new(3, 4, 1, &small_cfg(), &mut rng);
-        let opp = uniform_opp(1, 4);
+        let logits = logits_of(&hl, &[0.1, 0.2, 0.3], &UNIFORM);
         for _ in 0..20 {
-            let o = hl.select_option(&[0.1, 0.2, 0.3], &opp, &mut rng, true, 0.1);
+            let o = hl.select_from_logits(&logits, &mut rng, true, 0.1);
             assert!(o < 4);
         }
-        let greedy_o = hl.select_option(&[0.1, 0.2, 0.3], &opp, &mut rng, false, 0.0);
-        let greedy_o2 = hl.select_option(&[0.1, 0.2, 0.3], &opp, &mut rng, false, 0.0);
+        let greedy_o = hl.select_from_logits(&logits, &mut rng, false, 0.0);
+        let greedy_o2 = hl.select_from_logits(&logits, &mut rng, false, 0.0);
         assert_eq!(greedy_o, greedy_o2);
     }
 
@@ -537,8 +497,8 @@ mod tests {
     fn actor_conditions_on_opponent_prediction() {
         let mut rng = StdRng::seed_from_u64(1);
         let hl = HighLevelLearner::new(3, 4, 1, &small_cfg(), &mut rng);
-        let a = hl.logits(&[0.1, 0.2, 0.3], &[vec![1.0, 0.0, 0.0, 0.0]]);
-        let b = hl.logits(&[0.1, 0.2, 0.3], &[vec![0.0, 0.0, 0.0, 1.0]]);
+        let a = logits_of(&hl, &[0.1, 0.2, 0.3], &[1.0, 0.0, 0.0, 0.0]);
+        let b = logits_of(&hl, &[0.1, 0.2, 0.3], &[0.0, 0.0, 0.0, 1.0]);
         assert_ne!(a, b, "different opponent predictions must change logits");
     }
 
@@ -576,9 +536,8 @@ mod tests {
         for _ in 0..200 {
             hl.update(&mut rng, &opp).unwrap();
         }
-        let opp_probs = uniform_opp(1, 4);
-        let chosen = hl.select_option(&[1.0, 0.0, 0.0], &opp_probs, &mut rng, false, 0.0);
-        assert_eq!(chosen, 2, "logits: {:?}", hl.logits(&[1.0, 0.0, 0.0], &opp_probs));
+        let logits = logits_of(&hl, &[1.0, 0.0, 0.0], &UNIFORM);
+        assert_eq!(greedy(&logits), 2, "logits: {logits:?}");
     }
 
     #[test]
@@ -593,12 +552,26 @@ mod tests {
         for _ in 0..200 {
             hl.update(&mut rng, &opp);
         }
-        let q_good = hl.q_value(&[1.0, 0.0, 0.0], 1, &[0]);
-        let q_bad = hl.q_value(&[1.0, 0.0, 0.0], 3, &[0]);
+        let q_good = q_value(&hl, &[1.0, 0.0, 0.0], 1, &[0]);
+        let q_bad = q_value(&hl, &[1.0, 0.0, 0.0], 3, &[0]);
         assert!(
             q_good > q_bad + 0.5,
             "Q(good)={q_good} must exceed Q(bad)={q_bad}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "stale replay draw")]
+    fn a_batch_is_refused_after_a_store() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut hl = HighLevelLearner::new(3, 4, 1, &small_cfg(), &mut rng);
+        let opp = opponent(&mut rng);
+        for o in 0..40 {
+            hl.store(segment(o % 4, 0, 0.0));
+        }
+        let batch = hl.sample_batch(&mut rng).expect("past warm-up");
+        hl.store(segment(0, 0, 0.0));
+        hl.update_batch(&batch, &opp);
     }
 
     #[test]

@@ -16,8 +16,8 @@ use hero_autograd::optim::{Adam, Optimizer};
 use hero_autograd::{loss, serialize, CheckpointError, Graph, Parameter, Tensor, TensorPool};
 use rand::rngs::StdRng;
 
-use hero_rl::buffer::ReplayBuffer;
-use hero_rl::rng::{log_softmax, softmax};
+use hero_rl::buffer::{Draw, ReplayBuffer};
+use hero_rl::rng::softmax;
 use hero_rl::snapshot;
 
 /// One observation for the opponent model: the agent's own high-level
@@ -32,10 +32,11 @@ pub struct OpponentSample {
 }
 
 /// A pre-sampled minibatch for [`OpponentModel::update_batch`], produced
-/// by [`OpponentModel::sample_batch`].
+/// by [`OpponentModel::sample_batch`]: replay slots, valid until the next
+/// [`OpponentModel::observe`].
 #[derive(Clone, Debug)]
 pub struct OpponentBatch {
-    samples: Vec<OpponentSample>,
+    draw: Draw,
 }
 
 /// Per-opponent option-prediction networks for one agent.
@@ -103,12 +104,6 @@ impl OpponentModel {
         self.informative = informative;
     }
 
-    /// Whether the model is enabled (see
-    /// [`OpponentModel::set_informative`]).
-    pub fn is_informative(&self) -> bool {
-        self.informative
-    }
-
     /// Number of modeled opponents.
     pub fn num_opponents(&self) -> usize {
         self.nets.len()
@@ -119,82 +114,29 @@ impl OpponentModel {
         self.buffer.len()
     }
 
-    /// Predicted option *probabilities* for every opponent given the own
-    /// state — the `ô^{-i}` fed to the high-level actor and TD target.
-    pub fn predict_probs(&self, obs: &[f32]) -> Vec<Vec<f32>> {
-        if !self.informative {
-            return vec![vec![1.0 / self.n_options as f32; self.n_options]; self.nets.len()];
-        }
-        self.nets
-            .iter()
-            .map(|net| {
-                let logits = net
-                    .infer(&Tensor::from_vec(vec![1, obs.len()], obs.to_vec()))
-                    .into_data();
-                softmax(&logits)
-            })
-            .collect()
-    }
-
-    /// Batched prediction: option probabilities for every opponent over a
-    /// `[batch, obs_dim]` tensor of own states. Returns one
-    /// `[batch, n_options]` tensor per opponent.
-    pub fn predict_probs_batch(&self, obs: &Tensor) -> Vec<Tensor> {
+    /// Predicted option *probabilities* for every opponent over a
+    /// `[n, obs_dim]` tensor of own states — the `ô^{-i}` fed to the
+    /// high-level actor and TD target. Returns one `[n, n_options]` tensor
+    /// per opponent. Every buffer, the returned ones included, comes from
+    /// `pool`; hand those back with `pool.put`. Row `r` is bitwise
+    /// identical to a one-row call on row `r` alone.
+    pub fn predict_probs(&self, obs: &Tensor, pool: &mut TensorPool) -> Vec<Tensor> {
         let n = obs.shape()[0];
-        if !self.informative {
-            let uniform = Tensor::full(vec![n, self.n_options], 1.0 / self.n_options as f32);
-            return vec![uniform; self.nets.len()];
-        }
+        let width = self.n_options;
         self.nets
             .iter()
             .map(|net| {
-                let logits = net.infer(obs);
-                let mut data = Vec::with_capacity(n * self.n_options);
-                for row in 0..n {
-                    data.extend(softmax(logits.row(row)));
+                if !self.informative {
+                    return pool.matrix(n, width, |d| d.resize(n * width, 1.0 / width as f32));
                 }
-                Tensor::from_vec(vec![n, self.n_options], data)
-            })
-            .collect()
-    }
-
-    /// [`OpponentModel::predict_probs_batch`] through the inference-only
-    /// forward path: no autodiff graph, activations recycled via `pool`.
-    /// Bitwise identical to the graph path ([`Mlp::infer_in`] replicates
-    /// the tape ops' arithmetic exactly).
-    pub fn predict_probs_batch_in(&self, obs: &Tensor, pool: &mut TensorPool) -> Vec<Tensor> {
-        let n = obs.shape()[0];
-        if !self.informative {
-            let uniform = Tensor::full(vec![n, self.n_options], 1.0 / self.n_options as f32);
-            return vec![uniform; self.nets.len()];
-        }
-        self.nets
-            .iter()
-            .map(|net| {
                 let logits = net.infer_in(obs, pool);
-                let mut data = Vec::with_capacity(n * self.n_options);
-                for row in 0..n {
-                    data.extend(softmax(logits.row(row)));
-                }
+                let probs = pool.matrix(n, width, |d| {
+                    for row in 0..n {
+                        d.extend(softmax(logits.row(row)));
+                    }
+                });
                 pool.put(logits.into_data());
-                Tensor::from_vec(vec![n, self.n_options], data)
-            })
-            .collect()
-    }
-
-    /// Predicted log-probabilities for every opponent.
-    pub fn predict_log_probs(&self, obs: &[f32]) -> Vec<Vec<f32>> {
-        if !self.informative {
-            let lp = -(self.n_options as f32).ln();
-            return vec![vec![lp; self.n_options]; self.nets.len()];
-        }
-        self.nets
-            .iter()
-            .map(|net| {
-                let logits = net
-                    .infer(&Tensor::from_vec(vec![1, obs.len()], obs.to_vec()))
-                    .into_data();
-                log_softmax(&logits)
+                probs
             })
             .collect()
     }
@@ -229,43 +171,47 @@ impl OpponentModel {
         if !self.informative || self.buffer.len() < self.batch_size.min(64) {
             return None;
         }
-        let samples: Vec<OpponentSample> = {
+        let draw = {
             let _span = hero_rl::telemetry::span("replay_sample");
-            self.buffer
-                .sample(rng, self.batch_size)
-                .into_iter()
-                .cloned()
-                .collect()
+            self.buffer.draw(rng, self.batch_size)
         };
-        hero_rl::telemetry::counter_add("transitions_sampled", samples.len() as u64);
-        Some(OpponentBatch { samples })
+        hero_rl::telemetry::counter_add("transitions_sampled", self.batch_size as u64);
+        Some(OpponentBatch { draw })
     }
 
     /// The compute half of [`OpponentModel::update`]: trains every
     /// opponent network on the pre-sampled `batch` and returns the
     /// per-opponent NLL losses. Consumes no randomness.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an observation was stored since `batch` was drawn.
     pub fn update_batch(&mut self, batch: &OpponentBatch) -> Vec<f32> {
-        let batch = &batch.samples;
-        let obs_rows: Vec<&[f32]> = batch.iter().map(|s| s.obs.as_slice()).collect();
-        let obs_t = {
-            let d = obs_rows[0].len();
-            let mut data = Vec::with_capacity(obs_rows.len() * d);
-            for r in &obs_rows {
-                data.extend_from_slice(r);
-            }
-            Tensor::from_vec(vec![obs_rows.len(), d], data)
-        };
+        let batch = self.buffer.resolve(&batch.draw);
+        let (n, d) = (batch.len(), batch[0].obs.len());
+        let width = self.n_options;
 
         let mut losses = Vec::with_capacity(self.nets.len());
         for (j, (net, opt)) in self.nets.iter().zip(&mut self.opts).enumerate() {
-            let picked: Vec<usize> = batch.iter().map(|s| s.options[j]).collect();
             // Reuse one graph arena across updates: reset() recycles every
-            // node buffer instead of reallocating per minibatch.
+            // node buffer, the pooled inputs included, instead of
+            // reallocating per minibatch.
             let mut g = std::mem::take(&mut self.graph);
             g.reset();
-            let x = g.input(obs_t.clone());
+            let pool = g.pool();
+            let obs = pool.matrix(n, d, |data| {
+                for s in &batch {
+                    data.extend_from_slice(&s.obs);
+                }
+            });
+            let picked = pool.matrix(n, width, |data| {
+                for s in &batch {
+                    push_one_hot(data, s.options[j], width);
+                }
+            });
+            let x = g.input(obs);
             let logits = net.forward(&mut g, x);
-            let targets = g.input(Tensor::one_hot(&picked, self.n_options));
+            let targets = g.input(picked);
             let nll = loss::cross_entropy(&mut g, logits, targets);
             // Subtract λ·H: minimizing (NLL − λ·H) maximizes logprob + λH.
             let entropy = loss::categorical_entropy(&mut g, logits);
@@ -279,16 +225,15 @@ impl OpponentModel {
                 // "learning-dynamics metrics": opponent/xent,
                 // opponent/accuracy — the Fig. 10 loss curve signal).
                 let logit_rows = g.value(logits);
-                let correct = picked
+                let correct = batch
                     .iter()
                     .enumerate()
-                    .filter(|&(row, &o)| hero_rl::explore::greedy(logit_rows.row(row)) == o)
+                    .filter(|&(row, s)| {
+                        hero_rl::explore::greedy(logit_rows.row(row)) == s.options[j]
+                    })
                     .count();
                 hero_rl::telemetry::observe("opponent/xent", nll_value as f64);
-                hero_rl::telemetry::observe(
-                    "opponent/accuracy",
-                    correct as f64 / picked.len().max(1) as f64,
-                );
+                hero_rl::telemetry::observe("opponent/accuracy", correct as f64 / n.max(1) as f64);
             }
             g.backward(l);
             opt.step();
@@ -366,6 +311,16 @@ impl OpponentModel {
     }
 }
 
+/// Pushes the `width`-wide one-hot encoding of `hot`.
+///
+/// # Panics
+///
+/// Panics when `hot >= width`.
+pub(crate) fn push_one_hot(data: &mut Vec<f32>, hot: usize, width: usize) {
+    assert!(hot < width, "one-hot index {hot} out of range {width}");
+    data.extend((0..width).map(|k| if k == hot { 1.0 } else { 0.0 }));
+}
+
 impl snapshot::Codec for OpponentSample {
     fn encode(&self, out: &mut Vec<u8>) {
         self.obs.encode(out);
@@ -388,21 +343,39 @@ mod tests {
         OpponentModel::new(2, 3, 4, 16, 0.01, 0.01, 10_000, 64, rng)
     }
 
+    /// Per-opponent probabilities for one observation.
+    fn probs(m: &OpponentModel, obs: &[f32]) -> Vec<Vec<f32>> {
+        let x = Tensor::from_vec(vec![1, obs.len()], obs.to_vec());
+        m.predict_probs(&x, &mut TensorPool::new())
+            .into_iter()
+            .map(Tensor::into_data)
+            .collect()
+    }
+
     #[test]
     fn predictions_are_distributions() {
         let mut rng = StdRng::seed_from_u64(0);
         let m = model(&mut rng);
-        let probs = m.predict_probs(&[0.1, 0.2, 0.3]);
+        let probs = probs(&m, &[0.1, 0.2, 0.3]);
         assert_eq!(probs.len(), 2);
         for p in &probs {
             assert_eq!(p.len(), 4);
             assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-5);
             assert!(p.iter().all(|&v| v >= 0.0));
         }
-        let logp = m.predict_log_probs(&[0.1, 0.2, 0.3]);
-        for (p, lp) in probs.iter().zip(&logp) {
-            for (a, b) in p.iter().zip(lp) {
-                assert!((a.ln() - b).abs() < 1e-4);
+    }
+
+    #[test]
+    fn batched_predictions_match_single_rows_bitwise() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let m = model(&mut rng);
+        let rows = [[0.1, 0.2, 0.3], [0.7, -0.4, 0.0], [-1.0, 0.5, 0.25]];
+        let x = Tensor::from_vec(vec![3, 3], rows.concat());
+        let batched = m.predict_probs(&x, &mut TensorPool::new());
+        for (r, row) in rows.iter().enumerate() {
+            for (net, single) in batched.iter().zip(probs(&m, row)) {
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(net.row(r)), bits(&single), "row {r}");
             }
         }
     }
@@ -424,10 +397,10 @@ mod tests {
             }
         }
         assert!(!last.is_empty());
-        let probs_a = m.predict_probs(&[1.0, 0.0, 0.0]);
+        let probs_a = probs(&m, &[1.0, 0.0, 0.0]);
         assert!(probs_a[0][2] > 0.7, "opp 0 in state A: {:?}", probs_a[0]);
         assert!(probs_a[1][1] > 0.7, "opp 1: {:?}", probs_a[1]);
-        let probs_b = m.predict_probs(&[0.0, 1.0, 0.0]);
+        let probs_b = probs(&m, &[0.0, 1.0, 0.0]);
         assert!(probs_b[0][0] > 0.7, "opp 0 in state B: {:?}", probs_b[0]);
     }
 
@@ -459,7 +432,7 @@ mod tests {
         for _ in 0..100 {
             m.update(&mut rng);
         }
-        let p = m.predict_probs(&[1.0, 0.0]);
+        let p = probs(&m, &[1.0, 0.0]);
         assert!(
             p[0][0] < 0.6,
             "strong entropy reg must prevent a collapsed prediction: {:?}",

@@ -28,8 +28,10 @@
 //!   tiled matmuls ([`crate::agent::HeroAgent::batch_logits`]). Batched
 //!   runs are self-reproducible (same seeds → same bits, and kill/resume
 //!   is bit-identical via the checkpoint `workers` section) but not
-//!   step-for-step equal to sequential training: matmul accumulation
-//!   order differs across batch shapes and episodes interleave.
+//!   step-for-step equal to sequential training, because episodes
+//!   interleave. The batching itself changes no bit: rows are independent
+//!   under the strict kernels, so a batched row equals its single-row
+//!   forward.
 //!
 //! Waves never cross a `kill@ep:N` or checkpoint boundary, so fault
 //! injection and snapshot cadence behave exactly as in the sequential
@@ -74,6 +76,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
+use hero_autograd::TensorPool;
 use hero_faultplan::FaultPlan;
 use hero_rl::telemetry;
 use hero_rl::telemetry::{CapturedEvent, FlightEventKind};
@@ -961,6 +964,8 @@ fn batched_run(
 
     let mut obs: Vec<Vec<Observation>> = vec![Vec::new(); total];
     let mut states: Vec<Vec<VehicleState>> = vec![Vec::new(); total];
+    // Buffers of the batched decide forwards, kept across waves.
+    let mut pool = TensorPool::new();
 
     while completed_total < core.opts.episodes {
         if core.killed_before(completed_total) {
@@ -1083,7 +1088,7 @@ fn batched_run(
                                 .collect();
                             let rows: Vec<&[f32]> =
                                 rows_owned.iter().map(|r| r.as_slice()).collect();
-                            let batched = core.team.agents()[k].batch_logits(&rows);
+                            let batched = core.team.agents()[k].batch_logits(&rows, &mut pool);
                             for (row, &pos) in batched.into_iter().zip(&sel) {
                                 logits[pos][k] = Some(row);
                             }

@@ -72,32 +72,43 @@ impl<T> ReplayBuffer<T> {
         }
     }
 
-    /// Samples `n` items uniformly with replacement.
+    /// Samples `n` items uniformly with replacement: the items of a
+    /// [`ReplayBuffer::draw`].
     ///
     /// # Panics
     ///
     /// Panics when the buffer is empty.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<&T> {
-        assert!(!self.is_empty(), "cannot sample from an empty buffer");
-        (0..n)
-            .map(|_| &self.items[rng.gen_range(0..self.items.len())])
-            .collect()
+        self.resolve(&self.draw(rng, n))
     }
 
-    /// Samples `n` distinct indices (or all indices when `n >= len`).
-    pub fn sample_indices<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<usize> {
+    /// Draws `n` slots uniformly with replacement (one `gen_range` per
+    /// slot, in order): a minibatch held as indices, not cloned items.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the buffer is empty.
+    pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Draw {
+        assert!(!self.is_empty(), "cannot sample from an empty buffer");
         let len = self.items.len();
-        if n >= len {
-            return (0..len).collect();
+        Draw {
+            slots: (0..n).map(|_| rng.gen_range(0..len)).collect(),
+            len,
+            head: self.head,
         }
-        // Partial Fisher–Yates over an index vector.
-        let mut idx: Vec<usize> = (0..len).collect();
-        for i in 0..n {
-            let j = rng.gen_range(i..len);
-            idx.swap(i, j);
-        }
-        idx.truncate(n);
-        idx
+    }
+
+    /// The items a [`Draw`] names, in draw order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the buffer was pushed to since the draw.
+    pub fn resolve(&self, draw: &Draw) -> Vec<&T> {
+        assert!(
+            draw.len == self.items.len() && draw.head == self.head,
+            "stale replay draw: the buffer was pushed to after the draw"
+        );
+        draw.slots.iter().map(|&i| &self.items[i]).collect()
     }
 
     /// Item at a raw index (stable between pushes).
@@ -158,6 +169,16 @@ impl<T> ReplayBuffer<T> {
     }
 }
 
+/// Buffer slots drawn by [`ReplayBuffer::draw`], valid until the buffer's
+/// next push: [`ReplayBuffer::resolve`] checks the length and eviction
+/// cursor recorded here.
+#[derive(Clone, Debug)]
+pub struct Draw {
+    slots: Vec<usize>,
+    len: usize,
+    head: usize,
+}
+
 impl<'a, T> IntoIterator for &'a ReplayBuffer<T> {
     type Item = &'a T;
     type IntoIter = std::slice::Iter<'a, T>;
@@ -209,29 +230,31 @@ mod tests {
     }
 
     #[test]
-    fn sample_indices_distinct() {
-        let mut buf = ReplayBuffer::new(100);
-        for i in 0..50 {
+    fn draw_resolves_to_the_items_sample_returns() {
+        let mut buf = ReplayBuffer::new(8);
+        for i in 0..13 {
             buf.push(i);
         }
-        let mut rng = StdRng::seed_from_u64(1);
-        let idx = buf.sample_indices(&mut rng, 20);
-        assert_eq!(idx.len(), 20);
-        let mut sorted = idx.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 20, "indices must be distinct");
-        assert!(sorted.iter().all(|&i| i < 50));
+        let sampled: Vec<i32> = buf
+            .sample(&mut StdRng::seed_from_u64(3), 20)
+            .into_iter()
+            .copied()
+            .collect();
+        let draw = buf.draw(&mut StdRng::seed_from_u64(3), 20);
+        let resolved: Vec<i32> = buf.resolve(&draw).into_iter().copied().collect();
+        assert_eq!(resolved, sampled);
     }
 
     #[test]
-    fn sample_indices_caps_at_len() {
-        let mut buf = ReplayBuffer::new(10);
-        for i in 0..4 {
+    #[should_panic(expected = "stale replay draw")]
+    fn resolving_a_draw_after_a_push_panics() {
+        let mut buf = ReplayBuffer::new(4);
+        for i in 0..6 {
             buf.push(i);
         }
-        let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(buf.sample_indices(&mut rng, 100).len(), 4);
+        let draw = buf.draw(&mut StdRng::seed_from_u64(4), 2);
+        buf.push(6);
+        buf.resolve(&draw);
     }
 
     #[test]

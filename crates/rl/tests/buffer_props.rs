@@ -27,20 +27,27 @@ proptest! {
         prop_assert_eq!(items, expected);
     }
 
-    /// Sampled indices are always in range and distinct.
-    fn sample_indices_valid(capacity in 1usize..128, n in 0usize..256) {
+    /// A draw names `n` stored items, the ones `sample` returns for the
+    /// same random stream, whether or not the buffer has wrapped.
+    fn draw_resolves_to_stored_items(
+        capacity in 1usize..128,
+        pushes in 1usize..300,
+        n in 0usize..256,
+    ) {
         let mut buf = ReplayBuffer::new(capacity);
-        for i in 0..capacity {
+        for i in 0..pushes {
             buf.push(i);
         }
-        let mut rng = StdRng::seed_from_u64(7);
-        let idx = buf.sample_indices(&mut rng, n);
-        prop_assert_eq!(idx.len(), n.min(capacity));
-        let mut sorted = idx.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        prop_assert_eq!(sorted.len(), idx.len(), "indices must be distinct");
-        prop_assert!(idx.iter().all(|&i| i < capacity));
+        let draw = buf.draw(&mut StdRng::seed_from_u64(7), n);
+        let drawn: Vec<usize> = buf.resolve(&draw).into_iter().copied().collect();
+        let sampled: Vec<usize> = buf
+            .sample(&mut StdRng::seed_from_u64(7), n)
+            .into_iter()
+            .copied()
+            .collect();
+        prop_assert_eq!(drawn.len(), n);
+        prop_assert!(drawn.iter().all(|&i| i < pushes && i + capacity >= pushes));
+        prop_assert_eq!(drawn, sampled);
     }
 
     /// The sum tree's total always equals the sum of leaf priorities, under

@@ -138,8 +138,9 @@ fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {
+            // A malformed flag exits 2, as the experiment binaries do.
             eprintln!("hero-load: {msg}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let obs_dim = match args.obs_dim {

@@ -7,6 +7,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
+use hero_serve::policy::check_synthetic;
 use hero_serve::{start, BatchOptions, ServeConfig};
 use hero_telemetry::registry::TelemetryConfig;
 
@@ -41,7 +42,7 @@ struct Args {
     seed: u64,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut out = Args {
         addr: "127.0.0.1:9600".into(),
         checkpoint_dir: None,
@@ -51,7 +52,6 @@ fn parse_args() -> Result<Args, String> {
         out: None,
         seed: 0,
     };
-    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         if flag == "--help" || flag == "-h" {
             print!("{USAGE}");
@@ -70,6 +70,8 @@ fn parse_args() -> Result<Args, String> {
                     .collect::<Result<_, _>>()?;
                 match dims.as_slice() {
                     [o, h, a] if *o > 0 && *h > 0 && *a > 0 => {
+                        check_synthetic(*o, *h, *a)
+                            .map_err(|e| format!("--synthetic {value}: {e}"))?;
                         out.synthetic = Some((*o, *h, *a));
                     }
                     _ => return Err(format!("--synthetic {value}: expected OBSxHIDDENxAGENTS")),
@@ -105,11 +107,12 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
+            // A malformed flag exits 2, as the experiment binaries do.
             eprintln!("hero-serve: {msg}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
 
@@ -160,4 +163,38 @@ fn main() -> ExitCode {
     server.wait();
     println!("hero-serve: shutdown requested, exiting");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn synthetic(spec: &str) -> Result<Option<(usize, usize, usize)>, String> {
+        parse_args(["--synthetic", spec].iter().map(|a| a.to_string())).map(|a| a.synthetic)
+    }
+
+    #[test]
+    fn synthetic_accepts_the_benchmark_policy() {
+        assert_eq!(synthetic("256x1024x2"), Ok(Some((256, 1024, 2))));
+    }
+
+    #[test]
+    fn synthetic_refuses_oversized_and_overflowing_sizes() {
+        let overflowing = format!("{}x{}x2", usize::MAX / 2, usize::MAX / 2);
+        for spec in [
+            "999999x999999x99",
+            overflowing.as_str(),
+            "4x4x18446744073709551615",
+        ] {
+            let err = synthetic(spec).expect_err("an oversized policy must be refused");
+            assert!(err.contains("synthetic policy"), "{spec}: {err}");
+        }
+    }
+
+    #[test]
+    fn synthetic_refuses_malformed_sizes() {
+        for spec in ["12x3", "0x4x2", "axbxc"] {
+            assert!(synthetic(spec).is_err(), "{spec:?} must be refused");
+        }
+    }
 }

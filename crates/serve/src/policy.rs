@@ -20,6 +20,33 @@ use hero_rl::snapshot::{Codec, Reader};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::server::ServeError;
+
+/// Upper bound on a synthetic policy's network weights: about six times
+/// the 10.6 M of the `256x1024x2` policy the `serve-heavy` benchmark
+/// serves.
+pub const MAX_SYNTHETIC_WEIGHTS: usize = 1 << 26;
+
+/// Counts the weights of a synthetic `(obs_dim, hidden, n_agents)` policy
+/// with checked arithmetic.
+///
+/// # Errors
+///
+/// [`ServeError::SyntheticTooLarge`] past [`MAX_SYNTHETIC_WEIGHTS`] or on
+/// overflow.
+pub fn check_synthetic(
+    obs_dim: usize,
+    hidden: usize,
+    n_agents: usize,
+) -> Result<usize, ServeError> {
+    let weights = HeroAgent::weight_count(obs_dim, n_agents.saturating_sub(1), hidden)
+        .and_then(|per_agent| per_agent.checked_mul(n_agents));
+    match weights {
+        Some(n) if n <= MAX_SYNTHETIC_WEIGHTS => Ok(n),
+        other => Err(ServeError::SyntheticTooLarge(other)),
+    }
+}
+
 /// An immutable, servable HERO policy: one high-level actor plus
 /// opponent-model nets per agent, loaded from one checkpoint.
 ///
@@ -151,9 +178,17 @@ impl ServePolicy {
     /// benchmarks that need a realistic forward pass without a training
     /// run (`hero-serve --synthetic`). No checkpoint registry backs it,
     /// so hot-reload is refused while serving one.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero observation width or agent count, or when
+    /// [`check_synthetic`] refuses the size.
     pub fn synthetic(obs_dim: usize, hidden: usize, n_agents: usize, seed: u64) -> ServePolicy {
         assert!(n_agents > 0, "a policy needs at least one agent");
         assert!(obs_dim > 0, "observation width must be positive");
+        if let Err(e) = check_synthetic(obs_dim, hidden, n_agents) {
+            panic!("synthetic policy {obs_dim}x{hidden}x{n_agents}: {e}");
+        }
         let cfg = HeroConfig {
             hidden: hidden.max(1),
             ..HeroConfig::default()
@@ -172,7 +207,7 @@ impl ServePolicy {
     }
 
     /// Option logits for a batch of observations, all for `agent`, via
-    /// the inference-only forward path ([`HeroAgent::batch_logits_in`]).
+    /// the pooled inference path ([`HeroAgent::batch_logits`]).
     /// Row `r` of the result corresponds to `rows[r]`.
     ///
     /// # Panics
@@ -181,7 +216,7 @@ impl ServePolicy {
     /// [`ServePolicy::obs_dim`] wide — the dispatcher validates both
     /// before batching.
     pub fn infer(&self, agent: usize, rows: &[&[f32]], pool: &mut TensorPool) -> Vec<Vec<f32>> {
-        self.agents[agent].batch_logits_in(rows, pool)
+        self.agents[agent].batch_logits(rows, pool)
     }
 
     /// Index of the checkpoint this policy was loaded from (0 for
@@ -203,5 +238,37 @@ impl ServePolicy {
     /// Number of high-level options in the action space.
     pub fn n_options(&self) -> usize {
         self.n_options
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_synthetic_bounds_the_weight_count() {
+        let heavy = check_synthetic(256, 1024, 2).expect("the benchmark policy fits");
+        assert!(heavy < MAX_SYNTHETIC_WEIGHTS / 4, "{heavy}");
+        assert!(matches!(
+            check_synthetic(999_999, 999_999, 99),
+            Err(ServeError::SyntheticTooLarge(Some(n))) if n > MAX_SYNTHETIC_WEIGHTS
+        ));
+        assert!(matches!(
+            check_synthetic(4, 4, usize::MAX),
+            Err(ServeError::SyntheticTooLarge(None))
+        ));
+    }
+
+    #[test]
+    fn start_refuses_an_oversized_synthetic_policy_with_a_typed_error() {
+        let cfg = crate::ServeConfig {
+            synthetic: Some((999_999, 999_999, 99)),
+            ..crate::ServeConfig::default()
+        };
+        match crate::start(cfg) {
+            Err(ServeError::SyntheticTooLarge(Some(_))) => {}
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("an oversized synthetic policy must be refused"),
+        }
     }
 }

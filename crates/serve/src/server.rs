@@ -32,7 +32,7 @@ use hero_telemetry::registry::Registry;
 use parking_lot::RwLock;
 
 use crate::batch::{BatchOptions, Batcher, Pending, ServeStats};
-use crate::policy::ServePolicy;
+use crate::policy::{check_synthetic, ServePolicy, MAX_SYNTHETIC_WEIGHTS};
 
 /// How a server failed to start or reload.
 #[derive(Debug)]
@@ -45,6 +45,9 @@ pub enum ServeError {
     NoCheckpoint(PathBuf),
     /// Hot-reload was requested on a policy with no backing registry.
     NoRegistry,
+    /// The synthetic policy would hold more than
+    /// [`MAX_SYNTHETIC_WEIGHTS`] weights (`None`: the count overflows).
+    SyntheticTooLarge(Option<usize>),
 }
 
 impl std::fmt::Display for ServeError {
@@ -58,6 +61,11 @@ impl std::fmt::Display for ServeError {
             ServeError::NoRegistry => {
                 write!(f, "synthetic policy: no checkpoint registry to reload from")
             }
+            ServeError::SyntheticTooLarge(Some(n)) => write!(
+                f,
+                "synthetic policy of {n} weights exceeds the cap of {MAX_SYNTHETIC_WEIGHTS}"
+            ),
+            ServeError::SyntheticTooLarge(None) => write!(f, "synthetic policy size overflows"),
         }
     }
 }
@@ -128,10 +136,12 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(10);
 ///
 /// [`ServeError::NoCheckpoint`] when the registry is empty,
 /// [`ServeError::Checkpoint`] when the newest valid checkpoint refuses
-/// to load, [`ServeError::Io`] on bind failure.
+/// to load, [`ServeError::SyntheticTooLarge`] on an oversized synthetic
+/// policy, [`ServeError::Io`] on bind failure.
 pub fn start(cfg: ServeConfig) -> Result<HeroServer, ServeError> {
     let initial = match (cfg.synthetic, &cfg.checkpoint_dir) {
         (Some((obs, hidden, agents)), _) => {
+            check_synthetic(obs, hidden, agents)?;
             ServePolicy::synthetic(obs, hidden, agents, cfg.synthetic_seed)
         }
         (None, Some(dir)) => ServePolicy::load_newest(dir)?

@@ -321,6 +321,19 @@ echo "=== repository benchmark"
 BENCH=$(mktemp -d /tmp/hero-bench.XXXXXX)
 cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --quick --out "$BENCH/results.json"
+# Pin the seed-1 state digests: the reps only compare with each other, so
+# without this a change that silently alters training numerics at Table I
+# shapes would pass. A deliberate numerics change records new values here.
+python3 - "$BENCH/results.json" <<'EOF'
+import json, sys
+want = {"train-table1": "3c43d0b232306fa4", "train-wave": "46d66e300d4a4eda"}
+with open(sys.argv[1]) as f:
+    workloads = json.load(f)["workloads"]
+for name, digest in want.items():
+    got = workloads[name]["detail"].get("state_digest")
+    assert got == digest, f"{name}: state_digest {got}, pinned {digest}"
+print("  seed-1 state digests match the pinned values")
+EOF
 rm -rf "$BENCH"
 
 echo "=== CI passed"

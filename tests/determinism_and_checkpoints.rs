@@ -392,7 +392,7 @@ fn dqn_checkpoint_restores_identical_greedy_policy() {
     let path = std::env::temp_dir().join(format!("hero_dqn_ckpt_{}.bin", std::process::id()));
     save_params(&path, &trained.parameters()).unwrap();
 
-    let restored = DqnAgent::new(
+    let mut restored = DqnAgent::new(
         6,
         4,
         DqnConfig {

@@ -121,11 +121,12 @@ fn disabled_opponent_model_predicts_uniform() {
         ..tiny_hero()
     };
     let team = HeroTeam::new(2, env_cfg.high_dim(), skills, cfg, 6);
+    let obs = Tensor::from_vec(vec![1, env_cfg.high_dim()], vec![0.3; env_cfg.high_dim()]);
     let probs = team.agents()[0]
         .opponent_model()
-        .predict_probs(&vec![0.3; env_cfg.high_dim()]);
+        .predict_probs(&obs, &mut hero::autograd::TensorPool::new());
     for p in probs {
-        for v in p {
+        for &v in p.data() {
             assert!((v - 0.25).abs() < 1e-6, "uniform over 4 options, got {v}");
         }
     }
