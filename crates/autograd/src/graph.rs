@@ -72,14 +72,9 @@ impl Parameter {
     }
 
     /// The human-readable name given at construction. Lock-free and
-    /// allocation-free; use [`Parameter::name_arc`] to hold on to it.
+    /// allocation-free.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// A cheaply clonable handle to the name.
-    pub fn name_arc(&self) -> Arc<str> {
-        Arc::clone(&self.name)
     }
 
     /// The parameter's shape.

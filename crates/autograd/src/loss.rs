@@ -4,7 +4,6 @@
 //! the scalar node; gradients then flow through [`Graph::backward`].
 
 use crate::graph::{Graph, NodeId};
-use crate::tensor::Tensor;
 
 /// Mean-squared error `mean((pred - target)^2)` between same-shaped nodes.
 ///
@@ -15,35 +14,6 @@ pub fn mse(g: &mut Graph, pred: NodeId, target: NodeId) -> NodeId {
     let d = g.sub(pred, target);
     let sq = g.mul(d, d);
     g.mean(sq)
-}
-
-/// Huber (smooth-L1) loss with threshold `delta`, averaged over elements.
-///
-/// Realized as `mean(0.5 * clip(d)^2 + delta * (|d| - |clip(d)|))` where
-/// `clip(d) = clamp(d, -delta, delta)` — identical values and gradients to
-/// the usual piecewise definition.
-///
-/// # Panics
-///
-/// Panics on shape mismatch or non-positive `delta`.
-pub fn huber(g: &mut Graph, pred: NodeId, target: NodeId, delta: f32) -> NodeId {
-    assert!(delta > 0.0, "huber delta must be positive");
-    let d = g.sub(pred, target);
-    let clipped = g.clamp(d, -delta, delta);
-    let quad = g.mul(clipped, clipped);
-    let quad = g.scale(quad, 0.5);
-    // |d| via d * sign(d) is not differentiable at 0 in a helpful way, so
-    // use d^2 monotonicity: |d| - |clip| = relu(|d| - delta); build |d| from
-    // relu(d) + relu(-d).
-    let dn = g.neg(d);
-    let rp = g.relu(d);
-    let rn = g.relu(dn);
-    let abs_d = g.add(rp, rn);
-    let abs_minus = g.add_scalar(abs_d, -delta);
-    let lin = g.relu(abs_minus);
-    let lin = g.scale(lin, delta);
-    let total = g.add(quad, lin);
-    g.mean(total)
 }
 
 /// Negative log-likelihood of one-hot targets under `logits`:
@@ -74,19 +44,10 @@ pub fn categorical_entropy(g: &mut Graph, logits: NodeId) -> NodeId {
     g.neg(mean)
 }
 
-/// Builds a `[batch, classes]` one-hot input node from class indices.
-///
-/// # Panics
-///
-/// Panics when any index is `>= classes`.
-pub fn one_hot_input(g: &mut Graph, indices: &[usize], classes: usize) -> NodeId {
-    g.input(Tensor::one_hot(indices, classes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Parameter;
+    use crate::tensor::Tensor;
 
     #[test]
     fn mse_zero_when_equal() {
@@ -107,35 +68,13 @@ mod tests {
     }
 
     #[test]
-    fn huber_quadratic_inside_linear_outside() {
-        let mut g = Graph::new();
-        let pred = g.input(Tensor::from_vec(vec![2, 1], vec![0.5, 3.0]));
-        let target = g.input(Tensor::zeros(vec![2, 1]));
-        let l = huber(&mut g, pred, target, 1.0);
-        // element 1: 0.5 * 0.25 = 0.125; element 2: 0.5 + 1*(3-1) = 2.5
-        assert!((g.value(l).item() - (0.125 + 2.5) / 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn huber_gradient_is_clamped() {
-        let p = Parameter::new("p", Tensor::from_vec(vec![1, 1], vec![10.0]));
-        let mut g = Graph::new();
-        let pn = g.param(&p);
-        let t = g.input(Tensor::zeros(vec![1, 1]));
-        let l = huber(&mut g, pn, t, 1.0);
-        g.backward(l);
-        // d/dp of huber at d=10 with delta=1 is exactly 1 (linear region).
-        assert!((p.grad().item() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
     fn cross_entropy_prefers_correct_class() {
         let mut g = Graph::new();
         let good = g.input(Tensor::from_vec(vec![1, 3], vec![10.0, 0.0, 0.0]));
         let bad = g.input(Tensor::from_vec(vec![1, 3], vec![0.0, 10.0, 0.0]));
-        let targets = one_hot_input(&mut g, &[0], 3);
+        let targets = g.input(Tensor::one_hot(&[0], 3));
         let lg = cross_entropy(&mut g, good, targets);
-        let targets2 = one_hot_input(&mut g, &[0], 3);
+        let targets2 = g.input(Tensor::one_hot(&[0], 3));
         let lb = cross_entropy(&mut g, bad, targets2);
         assert!(g.value(lg).item() < g.value(lb).item());
     }

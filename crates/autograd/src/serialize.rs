@@ -1,13 +1,11 @@
 //! Checkpointing: a small, self-describing little-endian binary format.
 //!
-//! Two on-disk versions exist:
-//!
-//! - **v1** (legacy): `HERO` magic, version, parameter count, then
-//!   per-parameter name, shape, and `f32` data. Still readable.
-//! - **v2** (current): `HERO` magic, version, then named byte *sections*
-//!   followed by a CRC32 footer over the whole body. Sections carry
-//!   parameter tables, optimizer state (moments + step counter), or opaque
-//!   user blobs, so one file can hold a complete trainer snapshot.
+//! The layout (format version 2): `HERO` magic, version, then named byte
+//! *sections* followed by a CRC32 footer over the whole body. Sections
+//! carry parameter tables, optimizer state (moments + step counter), or
+//! opaque user blobs, so one file can hold a complete trainer snapshot.
+//! Any other version, the retired version 1 included, is refused with
+//! [`CheckpointError::UnsupportedVersion`].
 //!
 //! All writes are atomic: bytes go to a temp file in the same directory,
 //! are fsynced, and the temp file is renamed over the destination. A crash
@@ -16,7 +14,7 @@
 //! All reads are bounded: every length field is validated against the
 //! bytes actually present before any allocation, so a truncated or
 //! bit-flipped file yields a typed [`CheckpointError`] — never a panic,
-//! an OOM, or silently wrong weights (v2 is additionally CRC-checked).
+//! an OOM, or silently wrong weights; every file is also CRC-checked.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -30,7 +28,6 @@ use crate::optim::OptimizerState;
 use crate::tensor::Tensor;
 
 const MAGIC: &[u8; 4] = b"HERO";
-const VERSION_V1: u32 = 1;
 const VERSION_V2: u32 = 2;
 
 /// Hard caps on structural fields; anything larger is [`CheckpointError::Malformed`].
@@ -176,7 +173,7 @@ fn put_name(out: &mut Vec<u8>, name: &str) {
 }
 
 // ---------------------------------------------------------------------------
-// Parameter-table codec (shared by the v1 body and v2 `params` sections).
+// Parameter-table codec (the payload of `params` sections).
 // ---------------------------------------------------------------------------
 
 /// Encodes a parameter table: count, then per-parameter name, shape, data.
@@ -201,17 +198,6 @@ pub fn encode_params(params: &[Parameter]) -> Vec<u8> {
 /// matching by position and validating shapes before touching any weights.
 pub fn decode_params(bytes: &[u8], params: &[Parameter]) -> Result<(), CheckpointError> {
     let mut c = Cursor::new(bytes);
-    decode_params_cursor(&mut c, params)?;
-    if c.remaining() != 0 {
-        return Err(CheckpointError::Malformed(format!(
-            "{} trailing bytes after parameter table",
-            c.remaining()
-        )));
-    }
-    Ok(())
-}
-
-fn decode_params_cursor(c: &mut Cursor<'_>, params: &[Parameter]) -> Result<(), CheckpointError> {
     let count = c.u32()? as usize;
     if count > MAX_PARAM_COUNT {
         return Err(CheckpointError::Malformed(format!(
@@ -254,6 +240,12 @@ fn decode_params_cursor(c: &mut Cursor<'_>, params: &[Parameter]) -> Result<(), 
             data.push(f32::from_le_bytes(chunk.try_into().unwrap()));
         }
         staged.push(Tensor::from_vec(shape, data));
+    }
+    if c.remaining() != 0 {
+        return Err(CheckpointError::Malformed(format!(
+            "{} trailing bytes after parameter table",
+            c.remaining()
+        )));
     }
     for (p, t) in params.iter().zip(staged) {
         p.set_value(t);
@@ -528,10 +520,10 @@ pub fn check_kernel_mode(sections: &[(String, Vec<u8>)]) -> Result<(), Checkpoin
 }
 
 // ---------------------------------------------------------------------------
-// Parameter-list entry points (v2 writer, v1+v2 reader).
+// Parameter-list entry points.
 // ---------------------------------------------------------------------------
 
-/// Writes `params` to `path` as a v2 checkpoint with a single `params`
+/// Writes `params` to `path` as a checkpoint with a single `params`
 /// section. The write is atomic: an existing checkpoint at `path` is never
 /// truncated before the replacement is durable.
 ///
@@ -542,25 +534,15 @@ pub fn save_params(path: impl AsRef<Path>, params: &[Parameter]) -> Result<(), C
     save_sections(path, &[("params".to_string(), encode_params(params))])
 }
 
-/// Writes `params` in the legacy v1 layout (atomically). Kept so the
-/// v1 reading path stays covered by tests.
-pub fn save_params_v1(path: impl AsRef<Path>, params: &[Parameter]) -> Result<(), CheckpointError> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION_V1.to_le_bytes());
-    out.extend_from_slice(&encode_params(params));
-    write_atomic(path, &out)
-}
-
-/// Loads a checkpoint written by [`save_params`] (v2) or by the legacy v1
-/// writer into `params`, matching by position and validating shapes.
+/// Loads a checkpoint written by [`save_params`] into `params`, matching
+/// by position and validating shapes.
 ///
 /// # Errors
 ///
 /// Returns [`CheckpointError::BadMagic`] for foreign files,
-/// [`CheckpointError::UnsupportedVersion`] for unknown versions,
+/// [`CheckpointError::UnsupportedVersion`] for any version but 2,
 /// [`CheckpointError::ParameterMismatch`] when counts or shapes differ,
-/// [`CheckpointError::CorruptedCrc`] when a v2 footer fails validation, and
+/// [`CheckpointError::CorruptedCrc`] when the footer fails validation, and
 /// [`CheckpointError::Truncated`]/[`CheckpointError::Malformed`] on short or
 /// structurally invalid files — never a panic.
 pub fn load_params(path: impl AsRef<Path>, params: &[Parameter]) -> Result<(), CheckpointError> {
@@ -576,24 +558,11 @@ pub fn load_params(path: impl AsRef<Path>, params: &[Parameter]) -> Result<(), C
         return Err(CheckpointError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    match version {
-        VERSION_V1 => {
-            let mut c = Cursor::new(&bytes[8..]);
-            decode_params_cursor(&mut c, params)?;
-            if c.remaining() != 0 {
-                return Err(CheckpointError::Malformed(format!(
-                    "{} trailing bytes after v1 parameter table",
-                    c.remaining()
-                )));
-            }
-            Ok(())
-        }
-        VERSION_V2 => {
-            let sections = decode_sections(&bytes)?;
-            decode_params(require_section(&sections, "params")?, params)
-        }
-        other => Err(CheckpointError::UnsupportedVersion(other)),
+    if version != VERSION_V2 {
+        return Err(CheckpointError::UnsupportedVersion(version));
     }
+    let sections = decode_sections(&bytes)?;
+    decode_params(require_section(&sections, "params")?, params)
 }
 
 #[cfg(test)]
@@ -653,17 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_still_load() {
-        let a = Parameter::new("a", Tensor::from_vec(vec![3], vec![1.0, 2.0, 3.0]));
-        let path = temp_path("v1_compat.bin");
-        save_params_v1(&path, &[a.clone()]).unwrap();
-        let a2 = Parameter::new("a", Tensor::zeros(vec![3]));
-        load_params(&path, &[a2.clone()]).unwrap();
-        assert_eq!(&*a.value(), &*a2.value());
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
     fn load_rejects_shape_mismatch() {
         let a = Parameter::new("a", Tensor::zeros(vec![2, 2]));
         let path = temp_path("mismatch.bin");
@@ -697,13 +655,21 @@ mod tests {
     #[test]
     fn load_rejects_future_version() {
         let path = temp_path("future.bin");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&99u32.to_le_bytes());
-        std::fs::write(&path, bytes).unwrap();
         let p = Parameter::new("p", Tensor::zeros(vec![1]));
-        let err = load_params(&path, &[p]).unwrap_err();
-        assert!(matches!(err, CheckpointError::UnsupportedVersion(99)));
+        // Version 1 (the retired layout: the parameter table straight after
+        // the header) is refused like any version this build does not write.
+        for version in [1u32, 99] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(MAGIC);
+            bytes.extend_from_slice(&version.to_le_bytes());
+            bytes.extend_from_slice(&encode_params(std::slice::from_ref(&p)));
+            std::fs::write(&path, bytes).unwrap();
+            let err = load_params(&path, std::slice::from_ref(&p)).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::UnsupportedVersion(v) if v == version),
+                "{version}: {err}"
+            );
+        }
         std::fs::remove_file(path).ok();
     }
 
@@ -726,15 +692,13 @@ mod tests {
 
     #[test]
     fn huge_declared_lengths_do_not_allocate() {
-        // A v1 header claiming a 4-billion-byte name must be rejected by
-        // the caps, not attempted.
+        // A CRC-valid `params` section claiming a 4-billion-byte name must
+        // be rejected by the caps, not attempted.
         let path = temp_path("hostile.bin");
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&VERSION_V1.to_le_bytes());
-        bytes.extend_from_slice(&1u32.to_le_bytes()); // one parameter
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd name length
-        std::fs::write(&path, bytes).unwrap();
+        let mut table = Vec::new();
+        table.extend_from_slice(&1u32.to_le_bytes()); // one parameter
+        table.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd name length
+        std::fs::write(&path, encode_sections(&[("params".to_string(), table)])).unwrap();
         let p = Parameter::new("p", Tensor::zeros(vec![1]));
         let err = load_params(&path, &[p]).unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
@@ -769,7 +733,7 @@ mod tests {
         let a = Parameter::new("a", Tensor::from_vec(vec![2], vec![1.0, 2.0]));
         let b = Parameter::new("b", Tensor::from_vec(vec![2], vec![3.0, 4.0]));
         let path = temp_path("staged.bin");
-        save_params(&path, &[a, b]).unwrap();
+        save_params(&path, &[a.clone(), b.clone()]).unwrap();
         let full = std::fs::read(&path).unwrap();
         // Cut inside the second parameter's data: the first decoded fine,
         // but neither may be written.
@@ -779,6 +743,15 @@ mod tests {
         assert!(load_params(&path, &[a2.clone(), b2.clone()]).is_err());
         assert_eq!(a2.value().data(), &[-1.0, -1.0], "no partial load");
         assert_eq!(b2.value().data(), &[-1.0, -1.0], "no partial load");
+        // A CRC-valid table with a stray byte after its last parameter is
+        // refused before any weight is written.
+        let mut table = encode_params(&[a, b]);
+        table.push(0);
+        std::fs::write(&path, encode_sections(&[("params".to_string(), table)])).unwrap();
+        let err = load_params(&path, &[a2.clone(), b2.clone()]).unwrap_err();
+        assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
+        assert_eq!(a2.value().data(), &[-1.0, -1.0], "loaded before the check");
+        assert_eq!(b2.value().data(), &[-1.0, -1.0], "loaded before the check");
         std::fs::remove_file(path).ok();
     }
 

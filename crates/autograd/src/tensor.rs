@@ -66,25 +66,6 @@ impl Tensor {
         }
     }
 
-    /// Creates a `[rows, cols]` tensor from nested rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when rows have unequal lengths.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Self {
-        let n_rows = rows.len();
-        let n_cols = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(n_rows * n_cols);
-        for row in rows {
-            assert_eq!(row.len(), n_cols, "all rows must have the same length");
-            data.extend_from_slice(row);
-        }
-        Self {
-            shape: vec![n_rows, n_cols],
-            data,
-        }
-    }
-
     /// A tensor filled with zeros.
     pub fn zeros(shape: Vec<usize>) -> Self {
         let len = shape.iter().product();
@@ -294,11 +275,6 @@ impl Tensor {
         } else {
             self.sum() / self.data.len() as f32
         }
-    }
-
-    /// Largest absolute element (`0.0` for empty tensors).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
     }
 
     /// Whether every element is finite (no NaN / infinity).

@@ -67,17 +67,6 @@ pub fn column(values: &[f32]) -> Tensor {
     Tensor::from_vec(vec![values.len(), 1], values.to_vec())
 }
 
-/// Per-sample `γ^k·(1−done)` discount column for TD targets with variable
-/// horizon `k` (1 for one-step methods).
-pub fn discount_column(gamma: f32, durations: &[usize], dones: &[bool]) -> Tensor {
-    let data: Vec<f32> = durations
-        .iter()
-        .zip(dones)
-        .map(|(&k, &d)| if d { 0.0 } else { gamma.powi(k as i32) })
-        .collect();
-    Tensor::from_vec(vec![data.len(), 1], data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,14 +86,6 @@ mod tests {
         let a = [1.0f32, 2.0];
         let b = [3.0f32];
         stack_rows(&[&a, &b]);
-    }
-
-    #[test]
-    fn discount_column_handles_done_and_duration() {
-        let t = discount_column(0.9, &[1, 2, 3], &[false, true, false]);
-        assert!((t.data()[0] - 0.9).abs() < 1e-6);
-        assert_eq!(t.data()[1], 0.0);
-        assert!((t.data()[2] - 0.729).abs() < 1e-6);
     }
 
     #[test]

@@ -8,7 +8,6 @@ use hero_autograd::{Graph, Parameter, Tensor, TensorPool};
 use rand::rngs::StdRng;
 
 use hero_rl::buffer::ReplayBuffer;
-use hero_rl::per::PrioritizedReplay;
 use hero_rl::explore::{greedy, EpsilonGreedy};
 use hero_rl::schedule::Schedule;
 use hero_rl::target::soft_update;
@@ -36,9 +35,6 @@ pub struct DqnConfig {
     pub epsilon: Schedule,
     /// Minimum stored transitions before updates begin.
     pub warmup: usize,
-    /// Use prioritized experience replay (Schaul et al., 2016 — the
-    /// paper's reference [14]) instead of uniform sampling.
-    pub prioritized: bool,
 }
 
 impl Default for DqnConfig {
@@ -56,29 +52,6 @@ impl Default for DqnConfig {
                 steps: 20_000,
             },
             warmup: 256,
-            prioritized: false,
-        }
-    }
-}
-
-#[derive(Debug)]
-enum Replay {
-    Uniform(ReplayBuffer<DiscreteTransition>),
-    Prioritized(PrioritizedReplay<DiscreteTransition>),
-}
-
-impl Replay {
-    fn len(&self) -> usize {
-        match self {
-            Replay::Uniform(b) => b.len(),
-            Replay::Prioritized(b) => b.len(),
-        }
-    }
-
-    fn push(&mut self, t: DiscreteTransition) {
-        match self {
-            Replay::Uniform(b) => b.push(t),
-            Replay::Prioritized(b) => b.push(t),
         }
     }
 }
@@ -90,7 +63,7 @@ pub struct DqnAgent {
     q_target: Mlp,
     opt: Adam,
     explore: EpsilonGreedy,
-    buffer: Replay,
+    buffer: ReplayBuffer<DiscreteTransition>,
     cfg: DqnConfig,
     n_actions: usize,
     /// Buffers of the inference passes.
@@ -106,17 +79,12 @@ impl DqnAgent {
         let q_target = Mlp::new("dqn.q_target", &dims, Activation::Relu, rng);
         hero_rl::target::hard_update(&q.parameters(), &q_target.parameters());
         let opt = Adam::new(q.parameters(), cfg.lr);
-        let buffer = if cfg.prioritized {
-            Replay::Prioritized(PrioritizedReplay::new(cfg.buffer_capacity, 0.6, 0.4))
-        } else {
-            Replay::Uniform(ReplayBuffer::new(cfg.buffer_capacity))
-        };
         Self {
             q,
             q_target,
             opt,
             explore: EpsilonGreedy::new(cfg.epsilon),
-            buffer,
+            buffer: ReplayBuffer::new(cfg.buffer_capacity),
             cfg,
             n_actions,
             pool: TensorPool::new(),
@@ -149,8 +117,8 @@ impl DqnAgent {
         self.buffer.len()
     }
 
-    /// One TD update on a sampled mini-batch (importance-weighted when the
-    /// buffer is prioritized); `None` before warm-up.
+    /// One TD update on a uniformly sampled mini-batch; `None` before
+    /// warm-up.
     pub fn update(&mut self, rng: &mut StdRng) -> Option<f32> {
         let need = self
             .cfg
@@ -159,22 +127,7 @@ impl DqnAgent {
         if self.buffer.len() < need {
             return None;
         }
-        let (batch, weights, slots): (Vec<DiscreteTransition>, Vec<f32>, Vec<usize>) =
-            match &self.buffer {
-                Replay::Uniform(b) => {
-                    let batch: Vec<_> =
-                        b.sample(rng, self.cfg.batch_size).into_iter().cloned().collect();
-                    let n = batch.len();
-                    (batch, vec![1.0; n], Vec::new())
-                }
-                Replay::Prioritized(b) => {
-                    let samples = b.sample(rng, self.cfg.batch_size);
-                    let weights = samples.iter().map(|s| s.weight).collect();
-                    let slots = samples.iter().map(|s| s.index).collect();
-                    let batch = samples.into_iter().map(|s| s.item.clone()).collect();
-                    (batch, weights, slots)
-                }
-            };
+        let batch = self.buffer.sample(rng, self.cfg.batch_size);
         let obs: Vec<&[f32]> = batch.iter().map(|t| t.obs.as_slice()).collect();
         let next: Vec<&[f32]> = batch.iter().map(|t| t.next_obs.as_slice()).collect();
         let actions: Vec<usize> = batch.iter().map(|t| t.action).collect();
@@ -203,7 +156,7 @@ impl DqnAgent {
         let picked = g.mul(q_all, mask);
         let q_sa = g.sum_rows(picked);
         let y = g.input(column(&targets));
-        // Per-sample Huber, importance-weighted: 0.5·clip(d)² + δ·relu(|d|−δ).
+        // Per-sample Huber: 0.5·clip(d)² + δ·relu(|d|−δ).
         let d = g.sub(q_sa, y);
         let clipped = g.clamp(d, -1.0, 1.0);
         let quad = g.mul(clipped, clipped);
@@ -215,18 +168,10 @@ impl DqnAgent {
         let excess = g.add_scalar(abs_d, -1.0);
         let lin = g.relu(excess);
         let per_sample = g.add(quad, lin);
-        let w = g.input(column(&weights));
-        let weighted = g.mul(per_sample, w);
-        let l = g.mean(weighted);
+        let l = g.mean(per_sample);
         let value = g.value(l).item();
-        let td_abs: Vec<f32> = g.value(d).data().iter().map(|x| x.abs()).collect();
         g.backward(l);
         self.opt.step();
-        if let Replay::Prioritized(b) = &mut self.buffer {
-            for (slot, err) in slots.iter().zip(&td_abs) {
-                b.update_priority(*slot, *err);
-            }
-        }
         soft_update(
             &self.q.parameters(),
             &self.q_target.parameters(),
@@ -383,22 +328,6 @@ mod tests {
         }
         let last = agent.update(&mut rng).unwrap();
         assert!(last < first, "loss {first} -> {last}");
-    }
-
-    #[test]
-    fn prioritized_variant_learns_the_bandit_too() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let cfg = DqnConfig {
-            prioritized: true,
-            ..small_cfg()
-        };
-        let mut agent = DqnAgent::new(2, 2, cfg, &mut rng);
-        push_chain(&mut agent);
-        for _ in 0..150 {
-            agent.update(&mut rng).unwrap();
-        }
-        let q = agent.q_values(&[1.0, 0.0]);
-        assert!(q[1] > q[0] + 0.3, "PER agent must also learn: {q:?}");
     }
 
     #[test]

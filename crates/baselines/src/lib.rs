@@ -11,9 +11,7 @@
 //!   actors,
 //! * [`maac::Maac`] — multi-head attention critics with parameter sharing,
 //! * [`sac::SacAgent`] — soft actor–critic for continuous control (HERO's
-//!   low-level learner),
-//! * [`ddpg::DdpgAgent`] — deterministic policy gradients (the MADDPG
-//!   building block).
+//!   low-level learner).
 //!
 //! Every multi-agent algorithm implements
 //! [`common::MultiAgentAlgorithm`], so the experiment harness can swap
@@ -36,7 +34,6 @@
 
 pub mod coma;
 pub mod common;
-pub mod ddpg;
 pub mod dqn;
 pub mod maac;
 pub mod maddpg;
@@ -44,7 +41,6 @@ pub mod sac;
 
 pub use coma::{Coma, ComaConfig};
 pub use common::{MultiAgentAlgorithm, UpdateStats};
-pub use ddpg::{DdpgAgent, DdpgConfig};
 pub use dqn::{DqnAgent, DqnConfig, IndependentDqn};
 pub use maac::{Maac, MaacConfig};
 pub use maddpg::{Maddpg, MaddpgConfig};

@@ -117,8 +117,9 @@ impl ExperimentArgs {
     /// # Errors
     ///
     /// A message naming the flag and the offending value when a flag is
-    /// unknown, lacks its value, has a value that does not parse, or (for
-    /// `--fault-plan`) names an invalid plan.
+    /// unknown, lacks its value, has a value that does not parse, is `0`
+    /// where training needs at least 1 (`--update-every`, `--batch-size`),
+    /// or (for `--fault-plan`) names an invalid plan.
     pub fn parse(defaults: Self, args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = defaults;
         let mut iter = args.into_iter();
@@ -129,8 +130,8 @@ impl ExperimentArgs {
                 "--eval-episodes" => out.eval_episodes = number(&flag, value()?)?,
                 "--seed" => out.seed = number(&flag, value()?)?,
                 "--out" => out.out = PathBuf::from(value()?),
-                "--update-every" => out.update_every = number(&flag, value()?)?,
-                "--batch-size" => out.batch_size = number(&flag, value()?)?,
+                "--update-every" => out.update_every = positive(&flag, value()?)?,
+                "--batch-size" => out.batch_size = positive(&flag, value()?)?,
                 "--skill-episodes" => out.skill_episodes = number(&flag, value()?)?,
                 "--telemetry-out" => out.telemetry_out = Some(PathBuf::from(value()?)),
                 "--trace-out" => out.trace_out = Some(PathBuf::from(value()?)),
@@ -218,6 +219,16 @@ impl ExperimentArgs {
 fn number<T: FromStr>(flag: &str, raw: String) -> Result<T, String> {
     raw.parse()
         .map_err(|_| format!("flag {flag} expects a non-negative integer, got {raw:?}"))
+}
+
+/// Parses `raw`, the value given to `flag`, as a count of at least 1.
+fn positive(flag: &str, raw: String) -> Result<usize, String> {
+    match raw.parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "flag {flag} expects a positive integer, got {raw:?}"
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -393,6 +404,8 @@ mod tests {
             (&["--episodes"][..], &["--episodes", "requires a value"][..]),
             (&["--episodes", "abc"], &["--episodes", "\"abc\""]),
             (&["--seed", "-1"], &["--seed", "\"-1\""]),
+            (&["--update-every", "0"], &["--update-every", "\"0\""]),
+            (&["--batch-size", "0"], &["--batch-size", "\"0\""]),
             (&["--bogus"], &["unknown flag --bogus"]),
             (&["--fault-plan", "bogus"], &["--fault-plan", "\"bogus\""]),
         ] {

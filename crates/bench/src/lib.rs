@@ -67,10 +67,6 @@ use hero_baselines::sac::SacConfig;
 use hero_core::skills::{SkillLibrary, SkillTrainingConfig};
 use hero_sim::env::EnvConfig;
 
-/// Default skill-training budget when no checkpoint is available
-/// (override per run with `--skill-episodes`).
-pub const SKILL_BOOTSTRAP_EPISODES: usize = 1_000;
-
 /// Live telemetry session of one experiment run: the installed registry
 /// guard plus, when `--metrics-addr` was given, the background metrics
 /// exporter serving it. Keep it alive for the whole run — dropping it

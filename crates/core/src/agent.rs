@@ -24,13 +24,6 @@ pub struct PreparedUpdate {
     high: Option<crate::highlevel::HighLevelBatch>,
 }
 
-impl PreparedUpdate {
-    /// Whether either learner has a batch to train on.
-    pub fn has_work(&self) -> bool {
-        self.opponent.is_some() || self.high.is_some()
-    }
-}
-
 /// Accumulates one option segment between selection and termination.
 #[derive(Clone, Debug)]
 struct Segment {

@@ -139,16 +139,6 @@ impl SkillLibrary {
         )
     }
 
-    /// The environment configuration the skills were built for.
-    pub fn env_config(&self) -> &EnvConfig {
-        &self.env_cfg
-    }
-
-    /// The driving-in-lane skill (serves slow-down / accelerate).
-    pub fn in_lane_skill(&self) -> &SacAgent {
-        &self.in_lane
-    }
-
     /// The lane-change skill.
     pub fn lane_change_skill(&self) -> &SacAgent {
         &self.lane_change

@@ -57,11 +57,6 @@ impl<T> ReplayBuffer<T> {
         self.items.is_empty()
     }
 
-    /// Whether the buffer has reached capacity.
-    pub fn is_full(&self) -> bool {
-        self.items.len() == self.capacity
-    }
-
     /// Adds an item, evicting the oldest when full.
     pub fn push(&mut self, item: T) {
         if self.items.len() < self.capacity {
@@ -200,7 +195,7 @@ mod tests {
         for i in 0..3 {
             buf.push(i);
         }
-        assert!(buf.is_full());
+        assert_eq!(buf.len(), buf.capacity());
         buf.push(3);
         let items: Vec<i32> = buf.iter().copied().collect();
         assert_eq!(buf.len(), 3);

@@ -1,9 +1,8 @@
-//! Exploration strategies: ε-greedy for discrete policies, Gaussian and
-//! Ornstein–Uhlenbeck noise for continuous ones.
+//! Exploration for discrete policies: ε-greedy over a scheduled rate and
+//! the greedy argmax.
 
 use rand::Rng;
 
-use crate::rng::standard_normal;
 use crate::schedule::Schedule;
 
 /// ε-greedy action selection over a scheduled exploration rate (the
@@ -63,65 +62,6 @@ pub fn greedy(values: &[f32]) -> usize {
     best
 }
 
-/// Additive i.i.d. Gaussian action noise with a scheduled scale.
-#[derive(Clone, Copy, Debug)]
-pub struct GaussianNoise {
-    schedule: Schedule,
-    step: usize,
-}
-
-impl GaussianNoise {
-    /// Creates Gaussian noise with the given std schedule.
-    pub fn new(schedule: Schedule) -> Self {
-        Self { schedule, step: 0 }
-    }
-
-    /// Perturbs `action` in place, clamping into `[lo, hi]`.
-    pub fn apply<R: Rng + ?Sized>(&mut self, rng: &mut R, action: &mut [f32], lo: f32, hi: f32) {
-        let std = self.schedule.value(self.step);
-        self.step += 1;
-        for a in action.iter_mut() {
-            *a = (*a + standard_normal(rng) * std).clamp(lo, hi);
-        }
-    }
-}
-
-/// Ornstein–Uhlenbeck process noise (temporally correlated), as used by
-/// the original DDPG.
-#[derive(Clone, Debug)]
-pub struct OrnsteinUhlenbeck {
-    theta: f32,
-    sigma: f32,
-    state: Vec<f32>,
-}
-
-impl OrnsteinUhlenbeck {
-    /// Creates an OU process of dimension `dim` with mean-reversion
-    /// `theta` and volatility `sigma`.
-    pub fn new(dim: usize, theta: f32, sigma: f32) -> Self {
-        Self {
-            theta,
-            sigma,
-            state: vec![0.0; dim],
-        }
-    }
-
-    /// Resets the internal state to zero (call between episodes).
-    pub fn reset(&mut self) {
-        for s in &mut self.state {
-            *s = 0.0;
-        }
-    }
-
-    /// Advances the process and returns a view of the noise vector.
-    pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> &[f32] {
-        for s in &mut self.state {
-            *s += self.theta * -*s + self.sigma * standard_normal(rng);
-        }
-        &self.state
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,33 +111,5 @@ mod tests {
             e.select(&mut rng, &[1.0, 0.0]);
         }
         assert_eq!(e.epsilon(), 0.0);
-    }
-
-    #[test]
-    fn gaussian_noise_clamps() {
-        let mut n = GaussianNoise::new(Schedule::Constant(10.0));
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut a = vec![0.0f32; 32];
-        n.apply(&mut rng, &mut a, -1.0, 1.0);
-        assert!(a.iter().all(|v| (-1.0..=1.0).contains(v)));
-        assert!(a.iter().any(|&v| v != 0.0));
-    }
-
-    #[test]
-    fn ou_noise_is_correlated_and_resettable() {
-        let mut ou = OrnsteinUhlenbeck::new(1, 0.15, 0.2);
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut prev = 0.0f32;
-        let mut corr_hits = 0;
-        for _ in 0..200 {
-            let s = ou.sample(&mut rng)[0];
-            if (s - prev).abs() < 0.6 {
-                corr_hits += 1;
-            }
-            prev = s;
-        }
-        assert!(corr_hits > 150, "consecutive OU samples should stay close");
-        ou.reset();
-        assert_eq!(ou.state, vec![0.0]);
     }
 }

@@ -1,10 +1,9 @@
 //! # hero-rl
 //!
 //! The reinforcement-learning toolkit shared by HERO and every baseline in
-//! this reproduction: transition types, uniform and prioritized replay
-//! buffers, exploration strategies, scalar schedules, target-network
-//! updates, episode metrics with CSV export, sampling helpers, and a
-//! parallel rollout driver.
+//! this reproduction: transition types, a uniform replay buffer, ε-greedy
+//! exploration, scalar schedules, target-network updates, episode metrics
+//! with CSV export, sampling helpers, and a parallel rollout driver.
 //!
 //! ## Quickstart
 //!
@@ -33,7 +32,6 @@ pub use hero_telemetry as telemetry;
 pub mod buffer;
 pub mod explore;
 pub mod metrics;
-pub mod per;
 pub mod rng;
 pub mod rollout;
 pub mod schedule;
@@ -42,9 +40,8 @@ pub mod target;
 pub mod transition;
 
 pub use buffer::ReplayBuffer;
-pub use explore::{greedy, EpsilonGreedy, GaussianNoise, OrnsteinUhlenbeck};
+pub use explore::{greedy, EpsilonGreedy};
 pub use metrics::{summarize, MovingAverage, Recorder, Summary};
-pub use per::{PrioritizedReplay, PrioritizedSample, SumTree};
 pub use schedule::Schedule;
 pub use snapshot::{Codec, SnapshotError};
 pub use target::{hard_update, soft_update};

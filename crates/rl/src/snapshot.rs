@@ -1,5 +1,5 @@
-//! Binary snapshot codec for RL state: replay buffers, prioritized replay
-//! (items + priorities), RNG streams, and metric recorders.
+//! Binary snapshot codec for RL state: replay buffers, transitions and
+//! metric recorders.
 //!
 //! Everything encodes to compact little-endian blobs intended to be stored
 //! as opaque sections of a v2 checkpoint (`hero_autograd::serialize`).
@@ -10,11 +10,8 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use rand::rngs::StdRng;
-
 use crate::buffer::ReplayBuffer;
 use crate::metrics::Recorder;
-use crate::per::PrioritizedReplay;
 use crate::transition::{JointTransition, OptionTransition, Transition};
 
 /// Error decoding a snapshot blob.
@@ -314,79 +311,6 @@ pub fn decode_replay<T: Codec>(bytes: &[u8]) -> Result<ReplayBuffer<T>, Snapshot
     ReplayBuffer::from_parts(capacity, items, head).map_err(SnapshotError::Malformed)
 }
 
-/// Encodes a prioritized replay buffer: exponents, max priority, head,
-/// then per-slot occupancy and sum-tree leaf mass.
-pub fn encode_per<T: Codec>(buf: &PrioritizedReplay<T>) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&buf.alpha().to_le_bytes());
-    out.extend_from_slice(&buf.beta().to_le_bytes());
-    out.extend_from_slice(&buf.max_priority().to_le_bytes());
-    out.extend_from_slice(&(buf.head() as u64).to_le_bytes());
-    out.extend_from_slice(&(buf.capacity() as u64).to_le_bytes());
-    for i in 0..buf.capacity() {
-        let (item, mass) = buf.slot(i);
-        match item {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.encode(&mut out);
-            }
-        }
-        out.extend_from_slice(&mass.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes a prioritized replay buffer encoded by [`encode_per`],
-/// rebuilding the sum tree so priorities, importance weights, and future
-/// evictions match the original exactly.
-///
-/// # Errors
-///
-/// Any [`SnapshotError`] on truncation or inconsistent parts.
-pub fn decode_per<T: Codec>(bytes: &[u8]) -> Result<PrioritizedReplay<T>, SnapshotError> {
-    let mut r = Reader::new(bytes);
-    let alpha = r.f32()?;
-    let beta = r.f32()?;
-    let max_priority = r.f32()?;
-    let head = r.u64()? as usize;
-    let capacity = r.len(5)?;
-    let mut slots = Vec::with_capacity(capacity);
-    for _ in 0..capacity {
-        let item: Option<T> = Codec::decode(&mut r)?;
-        let mass = r.f32()?;
-        slots.push((item, mass));
-    }
-    r.finish()?;
-    PrioritizedReplay::from_parts(alpha, beta, max_priority, head, slots)
-        .map_err(SnapshotError::Malformed)
-}
-
-/// Encodes an [`StdRng`] stream position (32 bytes).
-pub fn encode_rng(rng: &StdRng) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    for word in rng.state() {
-        out.extend_from_slice(&word.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes an RNG stream position written by [`encode_rng`]; the restored
-/// generator continues the stream bit-identically.
-///
-/// # Errors
-///
-/// [`SnapshotError::Truncated`]/[`SnapshotError::Malformed`] on bad input.
-pub fn decode_rng(bytes: &[u8]) -> Result<StdRng, SnapshotError> {
-    let mut r = Reader::new(bytes);
-    let mut state = [0u64; 4];
-    for word in &mut state {
-        *word = r.u64()?;
-    }
-    r.finish()?;
-    Ok(StdRng::from_state(state))
-}
-
 /// Encodes a metric [`Recorder`]: every named series with its values.
 pub fn encode_recorder(rec: &Recorder) -> Vec<u8> {
     let mut out = Vec::new();
@@ -435,7 +359,8 @@ pub fn decode_recorder(bytes: &[u8]) -> Result<Recorder, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn sample_transition(i: usize) -> Transition<usize> {
         Transition {
@@ -471,50 +396,6 @@ mod tests {
             .map(|t| t.reward)
             .collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn per_roundtrip_preserves_priorities_and_eviction() {
-        let mut buf = PrioritizedReplay::new(6, 0.6, 0.4);
-        for i in 0..9usize {
-            buf.push(i);
-        }
-        buf.update_priority(2, 5.0);
-        buf.update_priority(4, 0.5);
-        let restored: PrioritizedReplay<usize> = decode_per(&encode_per(&buf)).unwrap();
-        assert_eq!(restored.len(), buf.len());
-        assert_eq!(restored.head(), buf.head());
-        assert_eq!(restored.max_priority(), buf.max_priority());
-        for i in 0..buf.capacity() {
-            let (a, pa) = buf.slot(i);
-            let (b, pb) = restored.slot(i);
-            assert_eq!(a, b);
-            assert_eq!(pa, pb);
-        }
-        let mut rng_a = StdRng::seed_from_u64(9);
-        let mut rng_b = StdRng::seed_from_u64(9);
-        let a: Vec<_> = buf.sample(&mut rng_a, 32).iter().map(|s| s.index).collect();
-        let b: Vec<_> = restored
-            .sample(&mut rng_b, 32)
-            .iter()
-            .map(|s| s.index)
-            .collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn rng_roundtrip_continues_stream() {
-        let mut rng = StdRng::seed_from_u64(77);
-        for _ in 0..31 {
-            let _: f32 = rng.gen_range(0.0..1.0);
-        }
-        let mut restored = decode_rng(&encode_rng(&rng)).unwrap();
-        for _ in 0..100 {
-            assert_eq!(
-                rng.gen_range(0.0f32..1.0),
-                restored.gen_range(0.0f32..1.0)
-            );
-        }
     }
 
     #[test]

@@ -213,17 +213,11 @@ impl HeroServer {
         reload_policy(&self.policy, &self.stats, self.checkpoint_dir.as_deref())
     }
 
-    /// Blocks until `POST /shutdown` is received (or
-    /// [`HeroServer::request_shutdown`] is called).
+    /// Blocks until `POST /shutdown` is received.
     pub fn wait(&self) {
         while !self.shutdown.load(Ordering::Relaxed) {
             std::thread::sleep(Duration::from_millis(50));
         }
-    }
-
-    /// Asks [`HeroServer::wait`] to return.
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
     }
 }
 

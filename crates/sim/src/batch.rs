@@ -44,7 +44,6 @@ pub struct BatchWorld {
     cfg: EnvConfig,
     spawns: Vec<VehicleSpawn>,
     executor: ScriptedExecutor,
-    n_worlds: usize,
     n_vehicles: usize,
     // World-major pose columns, one entry per (world, vehicle).
     s: Vec<f32>,
@@ -190,7 +189,6 @@ impl BatchWorld {
             cfg,
             spawns,
             executor: ScriptedExecutor::new(),
-            n_worlds,
             n_vehicles: n,
             s: vec![0.0; slots],
             d: vec![0.0; slots],
@@ -212,11 +210,6 @@ impl BatchWorld {
             world.reset_world(w);
         }
         world
-    }
-
-    /// Number of worlds in the batch.
-    pub fn num_worlds(&self) -> usize {
-        self.n_worlds
     }
 
     /// Vehicles per world (learners + scripted).

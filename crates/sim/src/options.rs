@@ -77,13 +77,6 @@ impl DrivingOption {
             }),
         }
     }
-
-    /// Whether this option is executed by the driving-in-lane skill
-    /// (`keep lane`, `slow down`, `accelerate`) rather than the
-    /// lane-change skill.
-    pub fn is_in_lane(self) -> bool {
-        !matches!(self, DrivingOption::LaneChange)
-    }
 }
 
 impl std::fmt::Display for DrivingOption {

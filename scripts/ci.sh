@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate, telemetry smoke test, the learning-dynamics golden diff,
-# the policy-serving lane, and the repository benchmark. Run from anywhere.
+# Tier-1 gate, the benchmark's build and helper tests, telemetry smoke
+# test, the learning-dynamics golden diff, the policy-serving lane, and a
+# quick benchmark pass. Run from anywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -24,6 +25,13 @@ cargo build --release
 
 echo "=== tier-1: cargo test -q"
 cargo test -q
+
+echo "=== benchmark builds against the crates"
+# benchmark/ compiles against the crates' public items and pins its own
+# Cargo.lock. Build it and run its helper tests right after tier-1, so a
+# crate change that stops it compiling, or would rewrite its lock
+# (--locked), fails here in about a minute, before the soak lanes.
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "=== workspace tests"
 cargo test --workspace -q
@@ -314,12 +322,10 @@ rm -rf "$SERVE"
 
 echo "=== repository benchmark"
 # benchmark/ is the one performance measurement (see benchmark/README.md).
-# Build it against the current crates, run its helper tests, then one
-# quick pass: run.sh exits nonzero when any built-in check fails (state
-# digests, bitwise logits, reloads, stage sums). --locked fails the lane
-# when a crate change would rewrite benchmark/Cargo.lock.
+# Its build and helper tests ran right after tier-1; here one quick pass:
+# run.sh exits nonzero when any built-in check fails (state digests,
+# bitwise logits, reloads, stage sums).
 BENCH=$(mktemp -d /tmp/hero-bench.XXXXXX)
-cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --quick --out "$BENCH/results.json"
 # Pin the seed-1 state digests: the reps only compare with each other, so
 # without this a change that silently alters training numerics at Table I

@@ -10,9 +10,9 @@
 //! * [`sim`] — a deterministic 2D multi-vehicle driving simulator
 //!   (the Gazebo substitute) with lidar/camera sensing, intrinsic-reward
 //!   skill environments, and a sim-to-real testbed proxy,
-//! * [`rl`] — replay buffers (uniform and prioritized), exploration,
-//!   schedules, target networks, metrics, and parallel rollouts,
-//! * [`baselines`] — Independent DQN, COMA, MADDPG, MAAC, SAC, and DDPG,
+//! * [`rl`] — replay buffers, ε-greedy exploration, schedules, target
+//!   networks, metrics, and parallel rollouts,
+//! * [`baselines`] — Independent DQN, COMA, MADDPG, MAAC, and SAC,
 //! * [`core`] — HERO itself: the hierarchical option framework, the
 //!   opponent-modeling network, the decentralized high-level
 //!   actor–critic, the SAC skill library, and the two-stage trainer.
