@@ -12,11 +12,10 @@
 //!   norm — the classic "is my learning rate sane" gauge).
 //! * **NaN/Inf watchdog** — every step screens the accumulated gradients
 //!   for non-finite values *before* touching weights or optimizer state.
-//!   [`WatchdogMode::Skip`] (the default, even with no diagnostics
-//!   installed) drops the poisoned update, zeroes the gradients, and
-//!   bumps the `watchdog/skipped_updates` / `watchdog/nonfinite_grads`
-//!   counters; [`WatchdogMode::Fatal`] panics with a full per-layer
-//!   [`GradHealth`] dump for debugging.
+//!   A poisoned update is dropped (even with no diagnostics installed):
+//!   the gradients are zeroed and the `watchdog/skipped_updates` /
+//!   `watchdog/nonfinite_grads` counters bumped, so long headless runs
+//!   survive one bad batch.
 //!
 //! The screening pass costs one read over the gradients. The paper's
 //! networks are tiny (hidden dimension 32, Table I), so this is noise
@@ -25,26 +24,14 @@
 use crate::graph::{zero_grads, Parameter};
 use hero_telemetry as telemetry;
 
-/// What to do when non-finite gradients reach an optimizer step.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum WatchdogMode {
-    /// Skip the poisoned update (weights and optimizer state untouched),
-    /// zero the gradients, and count the event. The default: long
-    /// headless runs should survive one bad batch.
-    #[default]
-    Skip,
-    /// Panic with a per-layer [`GradHealth`] dump. For debugging runs
-    /// where a non-finite gradient means the experiment is already lost.
-    Fatal,
-}
-
-/// Optimizer-attached diagnostics: a metric label plus a watchdog mode.
+/// Optimizer-attached diagnostics: the metric label per-layer gradient
+/// telemetry records under.
 ///
 /// Attach with
 /// [`Optimizer::set_diagnostics`](crate::optim::Optimizer::set_diagnostics):
 ///
 /// ```
-/// use hero_autograd::diagnostics::{StepDiagnostics, WatchdogMode};
+/// use hero_autograd::diagnostics::StepDiagnostics;
 /// use hero_autograd::nn::{Activation, Mlp, Module};
 /// use hero_autograd::optim::{Adam, Optimizer};
 /// use rand::{rngs::StdRng, SeedableRng};
@@ -52,39 +39,24 @@ pub enum WatchdogMode {
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let net = Mlp::new("actor", &[4, 8, 2], Activation::Tanh, &mut rng);
 /// let mut opt = Adam::new(net.parameters(), 1e-3);
-/// opt.set_diagnostics(StepDiagnostics::named("actor").with_mode(WatchdogMode::Skip));
+/// opt.set_diagnostics(StepDiagnostics::named("actor"));
 /// ```
 #[derive(Clone, Debug)]
 pub struct StepDiagnostics {
     label: String,
-    mode: WatchdogMode,
 }
 
 impl StepDiagnostics {
-    /// Diagnostics reporting under `label` (e.g. `"actor"`), in the
-    /// default [`WatchdogMode::Skip`].
+    /// Diagnostics reporting under `label` (e.g. `"actor"`).
     pub fn named(label: impl Into<String>) -> Self {
         Self {
             label: label.into(),
-            mode: WatchdogMode::default(),
         }
-    }
-
-    /// Returns the diagnostics with the given watchdog mode.
-    #[must_use]
-    pub fn with_mode(mut self, mode: WatchdogMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// The metric-namespace label.
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// The watchdog mode.
-    pub fn mode(&self) -> WatchdogMode {
-        self.mode
     }
 }
 
@@ -155,45 +127,25 @@ pub enum StepScreen {
     /// Gradients are finite; the optimizer must apply the update and then
     /// call [`post_step`] with the probe.
     Proceed(StepProbe),
-    /// Non-finite gradients were found in [`WatchdogMode::Skip`]: the
-    /// gradients have been zeroed and the counters bumped. The optimizer
-    /// must return without touching weights or its own state.
+    /// Non-finite gradients were found: the gradients have been zeroed
+    /// and the counters bumped. The optimizer must return without
+    /// touching weights or its own state.
     Skip,
-}
-
-fn fatal_dump(label: &str, health: &[GradHealth]) -> String {
-    let mut out = format!(
-        "non-finite gradient reached optimizer step (label {label:?}, WatchdogMode::Fatal); \
-         per-layer dump:\n"
-    );
-    for h in health {
-        out.push_str(&format!(
-            "  {} shape={:?} grad_l2={:.6e} grad_linf={:.6e} weight_l2={:.6e} nonfinite={}\n",
-            h.name, h.shape, h.grad_l2, h.grad_linf, h.weight_l2, h.nonfinite
-        ));
-    }
-    out
 }
 
 /// Screens `params` before an optimizer applies an update.
 ///
 /// This is the single non-finite-gradient code path shared by every
-/// optimizer: even with `diag == None` a poisoned gradient is skipped
-/// (never silently applied), in the default [`WatchdogMode::Skip`].
-/// With a labelled `diag` and an active telemetry sink, per-layer
-/// gradient/weight norms are also recorded and a [`StepProbe`] with
-/// pre-step weight copies is returned for [`post_step`].
-///
-/// # Panics
-///
-/// In [`WatchdogMode::Fatal`], panics with a per-layer dump when any
-/// gradient entry is NaN/Inf.
+/// optimizer: even with `diag == None` a poisoned gradient is skipped,
+/// never silently applied. With a labelled `diag` and an active
+/// telemetry sink, per-layer gradient/weight norms are also recorded and
+/// a [`StepProbe`] with pre-step weight copies is returned for
+/// [`post_step`].
 pub fn pre_step(params: &[Parameter], diag: Option<&StepDiagnostics>) -> StepScreen {
-    let mode = diag.map_or(WatchdogMode::default(), StepDiagnostics::mode);
     let recording = diag.is_some() && telemetry::is_enabled();
 
     let mut nonfinite_total = 0u64;
-    let health: Option<Vec<GradHealth>> = if recording || mode == WatchdogMode::Fatal {
+    let health: Option<Vec<GradHealth>> = if recording {
         let health: Vec<GradHealth> = params.iter().map(grad_health).collect();
         nonfinite_total = health.iter().map(|h| h.nonfinite).sum();
         Some(health)
@@ -205,25 +157,17 @@ pub fn pre_step(params: &[Parameter], diag: Option<&StepDiagnostics>) -> StepScr
     };
 
     if nonfinite_total > 0 {
-        match mode {
-            WatchdogMode::Fatal => {
-                let label = diag.map_or("<none>", StepDiagnostics::label);
-                panic!("{}", fatal_dump(label, health.as_deref().unwrap_or(&[])));
-            }
-            WatchdogMode::Skip => {
-                zero_grads(params);
-                telemetry::counter_add("watchdog/skipped_updates", 1);
-                telemetry::counter_add("watchdog/nonfinite_grads", nonfinite_total);
-                // The flight recorder wants an ordinal; the nth skip in
-                // this process is the best one available this deep in the
-                // optimizer (the trainer's update counter lives upstream).
-                static SKIPS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-                telemetry::flight_event(telemetry::FlightEventKind::WatchdogSkip {
-                    update: SKIPS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-                });
-                return StepScreen::Skip;
-            }
-        }
+        zero_grads(params);
+        telemetry::counter_add("watchdog/skipped_updates", 1);
+        telemetry::counter_add("watchdog/nonfinite_grads", nonfinite_total);
+        // The flight recorder wants an ordinal; the nth skip in this
+        // process is the best one available this deep in the optimizer
+        // (the trainer's update counter lives upstream).
+        static SKIPS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        telemetry::flight_event(telemetry::FlightEventKind::WatchdogSkip {
+            update: SKIPS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+        });
+        return StepScreen::Skip;
     }
 
     if !recording {
@@ -321,21 +265,6 @@ mod tests {
         let snap = telemetry::snapshot().unwrap();
         assert_eq!(snap.counters["watchdog/skipped_updates"].total, 1);
         assert_eq!(snap.counters["watchdog/nonfinite_grads"].total, 2);
-    }
-
-    #[test]
-    fn fatal_screen_panics_with_dump() {
-        let p = Parameter::new("hero.actor.l0.weight", Tensor::from_slice(&[1.0]));
-        poison_grad(&p);
-        let diag = StepDiagnostics::named("actor").with_mode(WatchdogMode::Fatal);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pre_step(std::slice::from_ref(&p), Some(&diag));
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().unwrap();
-        assert!(msg.contains("hero.actor.l0.weight"), "{msg}");
-        assert!(msg.contains("nonfinite=1"), "{msg}");
-        assert!(msg.contains("label \"actor\""), "{msg}");
     }
 
     #[test]

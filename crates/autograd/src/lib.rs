@@ -55,6 +55,6 @@ pub use error::{CheckpointError, TensorError};
 pub use graph::{copy_params, zero_grads, Graph, NodeId, Parameter};
 pub use optim::OptimizerState;
 pub use tensor::{
-    isa_name, kernel_mode, matmul, matmul_into, matmul_nt, matmul_nt_into, matmul_sparse_lhs,
-    matmul_tn, matmul_tn_into, Tensor, TensorPool,
+    isa_name, kernel_mode, matmul, matmul_into, matmul_nt, matmul_nt_into, matmul_tn,
+    matmul_tn_into, Tensor, TensorPool,
 };

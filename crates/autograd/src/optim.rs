@@ -12,13 +12,13 @@ use crate::graph::Parameter;
 /// A snapshot of an optimizer's mutable state, sufficient to resume
 /// training bit-identically: kind tag, step counter `t` (Adam bias
 /// correction), learning rate, and per-slot per-parameter buffers
-/// (SGD: `[velocity]`; Adam: `[m, v]`).
+/// (Adam: `[m, v]`).
 ///
 /// Serialized via [`crate::serialize::encode_optimizer`] /
 /// [`crate::serialize::decode_optimizer`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct OptimizerState {
-    /// `"sgd"` or `"adam"`.
+    /// `"adam"`, the only optimizer.
     pub kind: String,
     /// Number of applied (non-skipped) steps.
     pub t: u64,
@@ -28,22 +28,24 @@ pub struct OptimizerState {
     pub slots: Vec<Vec<Vec<f32>>>,
 }
 
+/// The kind tag of Adam state, the only optimizer state there is.
+pub(crate) const ADAM_KIND: &str = "adam";
+/// Adam's state slots: `m` and `v`.
+pub(crate) const ADAM_SLOTS: usize = 2;
+
 impl OptimizerState {
-    fn check_slots(
-        &self,
-        kind: &str,
-        expected_slots: usize,
-        params: &[Parameter],
-    ) -> Result<(), CheckpointError> {
-        if self.kind != kind {
+    /// Checks that this is Adam state with one `m` and one `v` buffer per
+    /// parameter of `params`, each the parameter's size.
+    fn check_adam(&self, params: &[Parameter]) -> Result<(), CheckpointError> {
+        if self.kind != ADAM_KIND {
             return Err(CheckpointError::ParameterMismatch {
-                expected: format!("{kind} optimizer state"),
+                expected: format!("{ADAM_KIND} optimizer state"),
                 found: format!("{} optimizer state", self.kind),
             });
         }
-        if self.slots.len() != expected_slots {
+        if self.slots.len() != ADAM_SLOTS {
             return Err(CheckpointError::ParameterMismatch {
-                expected: format!("{expected_slots} state slots"),
+                expected: format!("{ADAM_SLOTS} state slots"),
                 found: format!("{} state slots", self.slots.len()),
             });
         }
@@ -67,15 +69,15 @@ impl OptimizerState {
     }
 }
 
-/// Common interface of [`Sgd`] and [`Adam`].
+/// The optimizer interface. [`Adam`] is its one implementation.
 pub trait Optimizer {
     /// Applies one update from the accumulated gradients, then zeroes them.
     ///
     /// Every step is screened through one shared watchdog code path
     /// ([`diagnostics::pre_step`]): non-finite gradients are never applied.
-    /// By default ([`diagnostics::WatchdogMode::Skip`]) a poisoned update
-    /// is dropped — weights *and* optimizer state (momentum, Adam moments
-    /// and step count) stay untouched — and counted under `watchdog/*`.
+    /// A poisoned update is dropped — weights *and* optimizer state (Adam
+    /// moments and step count) stay untouched — and counted under
+    /// `watchdog/*`.
     fn step(&mut self);
 
     /// The parameters this optimizer updates.
@@ -88,106 +90,11 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f32);
 
     /// Attaches per-step diagnostics: a metric label for per-layer
-    /// gradient telemetry and the watchdog mode.
+    /// gradient telemetry.
     fn set_diagnostics(&mut self, diag: StepDiagnostics);
 
     /// The attached diagnostics, if any.
     fn diagnostics(&self) -> Option<&StepDiagnostics>;
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    params: Vec<Parameter>,
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-    diag: Option<StepDiagnostics>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer over `params` with learning rate `lr` and
-    /// no momentum.
-    pub fn new(params: Vec<Parameter>, lr: f32) -> Self {
-        Self::with_momentum(params, lr, 0.0)
-    }
-
-    /// Creates an SGD optimizer with classical momentum.
-    pub fn with_momentum(params: Vec<Parameter>, lr: f32, momentum: f32) -> Self {
-        let velocity = params.iter().map(|p| vec![0.0; p.len()]).collect();
-        Self {
-            params,
-            lr,
-            momentum,
-            velocity,
-            diag: None,
-        }
-    }
-
-    /// Captures the mutable state (velocity buffers) for checkpointing.
-    pub fn export_state(&self) -> OptimizerState {
-        OptimizerState {
-            kind: "sgd".to_string(),
-            t: 0,
-            lr: self.lr,
-            slots: vec![self.velocity.clone()],
-        }
-    }
-
-    /// Restores state captured by [`Sgd::export_state`]. The buffer shapes
-    /// must match this optimizer's parameters.
-    pub fn import_state(&mut self, state: OptimizerState) -> Result<(), CheckpointError> {
-        state.check_slots("sgd", 1, &self.params)?;
-        self.lr = state.lr;
-        self.velocity = state.slots.into_iter().next().unwrap();
-        Ok(())
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self) {
-        let probe = match diagnostics::pre_step(&self.params, self.diag.as_ref()) {
-            StepScreen::Proceed(probe) => probe,
-            StepScreen::Skip => return,
-        };
-        for (p, vel) in self.params.iter().zip(&mut self.velocity) {
-            p.apply_update(|value, grad| {
-                if self.momentum == 0.0 {
-                    for (v, g) in value.data_mut().iter_mut().zip(grad.data()) {
-                        *v -= self.lr * g;
-                    }
-                } else {
-                    for ((v, g), m) in value.data_mut().iter_mut().zip(grad.data()).zip(vel.iter_mut())
-                    {
-                        *m = self.momentum * *m + g;
-                        *v -= self.lr * *m;
-                    }
-                }
-            });
-            p.zero_grad();
-        }
-        diagnostics::post_step(&self.params, &probe);
-    }
-
-    fn parameters(&self) -> &[Parameter] {
-        &self.params
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn set_diagnostics(&mut self, diag: StepDiagnostics) {
-        self.diag = Some(diag);
-    }
-
-    fn diagnostics(&self) -> Option<&StepDiagnostics> {
-        self.diag.as_ref()
-    }
 }
 
 /// Adam (Kingma & Ba, 2015) with bias correction.
@@ -231,7 +138,7 @@ impl Adam {
     /// for checkpointing.
     pub fn export_state(&self) -> OptimizerState {
         OptimizerState {
-            kind: "adam".to_string(),
+            kind: ADAM_KIND.to_string(),
             t: self.t,
             lr: self.lr,
             slots: vec![self.m.clone(), self.v.clone()],
@@ -241,7 +148,7 @@ impl Adam {
     /// Restores state captured by [`Adam::export_state`]. The buffer shapes
     /// must match this optimizer's parameters.
     pub fn import_state(&mut self, state: OptimizerState) -> Result<(), CheckpointError> {
-        state.check_slots("adam", 2, &self.params)?;
+        state.check_adam(&self.params)?;
         self.lr = state.lr;
         self.t = state.t;
         let mut slots = state.slots.into_iter();
@@ -343,28 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let p = Parameter::new("p", Tensor::from_vec(vec![1, 1], vec![0.0]));
-        let mut opt = Sgd::new(vec![p.clone()], 0.1);
-        for _ in 0..100 {
-            quadratic_step(&p);
-            opt.step();
-        }
-        assert!((p.value().item() - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let p = Parameter::new("p", Tensor::from_vec(vec![1, 1], vec![0.0]));
-        let mut opt = Sgd::with_momentum(vec![p.clone()], 0.05, 0.9);
-        for _ in 0..200 {
-            quadratic_step(&p);
-            opt.step();
-        }
-        assert!((p.value().item() - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let p = Parameter::new("p", Tensor::from_vec(vec![1, 1], vec![0.0]));
         let mut opt = Adam::new(vec![p.clone()], 0.2);
@@ -413,26 +298,21 @@ mod tests {
     #[test]
     fn nan_grad_never_corrupts_weights_in_skip_mode() {
         // Even with no diagnostics attached: Skip is the default path.
-        for make in [
-            |p: Parameter| Box::new(Sgd::with_momentum(vec![p], 0.1, 0.9)) as Box<dyn Optimizer>,
-            |p: Parameter| Box::new(Adam::new(vec![p], 0.1)) as Box<dyn Optimizer>,
-        ] {
-            let p = Parameter::new("p", Tensor::from_slice(&[1.0, -2.0]));
-            let mut opt = make(p.clone());
-            poison_grad(&p);
-            opt.step();
-            assert_eq!(p.value().data(), &[1.0, -2.0], "weights untouched");
-            assert_eq!(p.grad().data(), &[0.0, 0.0], "poisoned grads cleared");
-            // The optimizer must still work afterwards: loss = sum(p)
-            // gives grad = 1 per element.
-            let mut g = Graph::new();
-            let pn = g.param(&p);
-            let loss = g.sum(pn);
-            g.backward(loss);
-            opt.step();
-            assert!(p.value().data()[0] != 1.0, "clean step still applies");
-            assert!(p.value().data().iter().all(|v| v.is_finite()));
-        }
+        let p = Parameter::new("p", Tensor::from_slice(&[1.0, -2.0]));
+        let mut opt = Adam::new(vec![p.clone()], 0.1);
+        poison_grad(&p);
+        opt.step();
+        assert_eq!(p.value().data(), &[1.0, -2.0], "weights untouched");
+        assert_eq!(p.grad().data(), &[0.0, 0.0], "poisoned grads cleared");
+        // The optimizer must still work afterwards: loss = sum(p)
+        // gives grad = 1 per element.
+        let mut g = Graph::new();
+        let pn = g.param(&p);
+        let loss = g.sum(pn);
+        g.backward(loss);
+        opt.step();
+        assert!(p.value().data()[0] != 1.0, "clean step still applies");
+        assert!(p.value().data().iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -454,19 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn fatal_mode_panics_on_poisoned_step() {
-        let p = Parameter::new("p", Tensor::from_slice(&[1.0]));
-        let mut opt = Sgd::new(vec![p.clone()], 0.1);
-        opt.set_diagnostics(
-            crate::diagnostics::StepDiagnostics::named("unit")
-                .with_mode(crate::diagnostics::WatchdogMode::Fatal),
-        );
-        poison_grad(&p);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| opt.step()));
-        assert!(err.is_err());
-    }
-
-    #[test]
     fn diagnostics_accessors() {
         let p = Parameter::new("p", Tensor::from_slice(&[0.0]));
         let mut opt = Adam::new(vec![p], 0.1);
@@ -478,7 +345,7 @@ mod tests {
     #[test]
     fn learning_rate_accessors() {
         let p = Parameter::new("p", Tensor::from_slice(&[0.0]));
-        let mut opt = Sgd::new(vec![p], 0.1);
+        let mut opt = Adam::new(vec![p], 0.1);
         assert_eq!(opt.learning_rate(), 0.1);
         opt.set_learning_rate(0.01);
         assert_eq!(opt.learning_rate(), 0.01);

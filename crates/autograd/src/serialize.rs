@@ -11,6 +11,12 @@
 //! are fsynced, and the temp file is renamed over the destination. A crash
 //! mid-write can never corrupt an existing checkpoint.
 //!
+//! This module is the only code that knows the byte layout. Every section
+//! of every checkpoint, including the opaque blobs other crates write
+//! (replay buffers, recorders, telemetry state, trainer bookkeeping), is
+//! read through the one bounds-checked [`Reader`] and written through the
+//! `put_*` writers beside it.
+//!
 //! All reads are bounded: every length field is validated against the
 //! bytes actually present before any allocation, so a truncated or
 //! bit-flipped file yields a typed [`CheckpointError`] — never a panic,
@@ -24,7 +30,7 @@ use std::path::Path;
 
 use crate::error::CheckpointError;
 use crate::graph::Parameter;
-use crate::optim::OptimizerState;
+use crate::optim::{OptimizerState, ADAM_KIND, ADAM_SLOTS};
 use crate::tensor::Tensor;
 
 const MAGIC: &[u8; 4] = b"HERO";
@@ -35,7 +41,6 @@ const MAX_NAME_LEN: usize = 4096;
 const MAX_RANK: usize = 8;
 const MAX_PARAM_COUNT: usize = 1 << 20;
 const MAX_SECTION_COUNT: usize = 1 << 16;
-const MAX_SLOT_COUNT: usize = 16;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected) — hand-rolled, no dependencies.
@@ -116,24 +121,41 @@ pub fn write_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> Result<(), Checkpoi
 }
 
 // ---------------------------------------------------------------------------
-// Bounds-checked slice cursor.
+// The one bounds-checked reader, and its writers.
 // ---------------------------------------------------------------------------
 
-struct Cursor<'a> {
+/// Bounds-checked little-endian reader over checkpoint bytes.
+///
+/// Every checkpoint section — the container itself, parameter tables,
+/// optimizer state, replay buffers, recorders, telemetry state and the
+/// trainer's fixed layouts — decodes through this one reader. Each read
+/// checks the bytes actually present first, so truncated or corrupt input
+/// yields [`CheckpointError::Truncated`] or [`CheckpointError::Malformed`],
+/// never a panic or an allocation sized by an unchecked length field.
+/// The matching writers are the `put_*` functions beside it.
+#[derive(Debug)]
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+impl<'a> Reader<'a> {
+    /// Wraps `buf` for reading from the start.
+    pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
+    /// Bytes not yet consumed.
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+    /// Consumes exactly `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Truncated`] when fewer than `n` bytes remain.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         if n > self.remaining() {
             return Err(CheckpointError::Truncated);
         }
@@ -142,34 +164,161 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        Ok(self
+            .take(N)?
+            .try_into()
+            .expect("take returns exactly N bytes"))
     }
 
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    /// Reads a `u8`.
+    pub fn u8(&mut self) -> Result<u8, CheckpointError> {
+        Ok(self.take(1)?[0])
     }
 
-    fn f32(&mut self) -> Result<f32, CheckpointError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    /// Reads a little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, CheckpointError> {
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
-    fn name(&mut self, what: &str) -> Result<String, CheckpointError> {
+    /// Reads a little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, CheckpointError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Reads a little-endian `f32`.
+    pub fn f32(&mut self) -> Result<f32, CheckpointError> {
+        Ok(f32::from_le_bytes(self.array()?))
+    }
+
+    /// Reads a little-endian `f64`.
+    pub fn f64(&mut self) -> Result<f64, CheckpointError> {
+        Ok(f64::from_le_bytes(self.array()?))
+    }
+
+    /// Reads a `u64` element count. The count must fit in the bytes that
+    /// remain at `min_elem_bytes` bytes per element, so a hostile count
+    /// can never size an allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Truncated`] when it does not fit.
+    pub fn len(&mut self, min_elem_bytes: usize) -> Result<usize, CheckpointError> {
+        let n = usize::try_from(self.u64()?).map_err(|_| CheckpointError::Truncated)?;
+        if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
+            return Err(CheckpointError::Truncated);
+        }
+        Ok(n)
+    }
+
+    /// Reads `n` little-endian `f32`s in one bounds check.
+    pub fn f32s(&mut self, n: usize) -> Result<Vec<f32>, CheckpointError> {
+        let raw = self.take(n.saturating_mul(4))?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+            .collect())
+    }
+
+    /// Reads `n` little-endian `f64`s in one bounds check.
+    pub fn f64s(&mut self, n: usize) -> Result<Vec<f64>, CheckpointError> {
+        let raw = self.take(n.saturating_mul(8))?;
+        Ok(raw
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect())
+    }
+
+    /// Reads a name written by [`put_name`]: a `u32` byte length, capped
+    /// at 4096, then UTF-8. Parameter, section and telemetry metric names
+    /// use this form; `what` names the kind in the error.
+    pub fn name(&mut self, what: &str) -> Result<String, CheckpointError> {
         let len = self.u32()? as usize;
         if len > MAX_NAME_LEN {
             return Err(CheckpointError::Malformed(format!(
                 "{what} name length {len} exceeds cap {MAX_NAME_LEN}"
             )));
         }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        String::from_utf8(self.take(len)?.to_vec())
             .map_err(|_| CheckpointError::Malformed(format!("{what} name is not utf-8")))
+    }
+
+    /// Reads a string written by [`put_string`]: a `u64` byte length, then
+    /// UTF-8. Recorder series names use this form.
+    pub fn string(&mut self) -> Result<String, CheckpointError> {
+        let len = self.len(1)?;
+        String::from_utf8(self.take(len)?.to_vec())
+            .map_err(|_| CheckpointError::Malformed("string is not utf-8".to_string()))
+    }
+
+    /// Fails unless every byte has been consumed; `what` names the
+    /// decoded value in the error.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Malformed`] on trailing bytes.
+    pub fn finish(&self, what: &str) -> Result<(), CheckpointError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(CheckpointError::Malformed(format!(
+                "{n} trailing bytes after {what}"
+            ))),
+        }
     }
 }
 
-fn put_name(out: &mut Vec<u8>, name: &str) {
-    out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+/// Appends a `u8`.
+pub fn put_u8(out: &mut Vec<u8>, v: u8) {
+    out.push(v);
+}
+
+/// Appends a little-endian `u32`.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u64`.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `f32`.
+pub fn put_f32(out: &mut Vec<u8>, v: f32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `f64`.
+pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends `vs` as little-endian `f32`s, without a length.
+pub fn put_f32s(out: &mut Vec<u8>, vs: &[f32]) {
+    out.reserve(vs.len() * 4);
+    for &v in vs {
+        put_f32(out, v);
+    }
+}
+
+/// Appends `vs` as little-endian `f64`s, without a length.
+pub fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
+    out.reserve(vs.len() * 8);
+    for &v in vs {
+        put_f64(out, v);
+    }
+}
+
+/// Appends a name as [`Reader::name`] reads it: `u32` length, then bytes.
+pub fn put_name(out: &mut Vec<u8>, name: &str) {
+    put_u32(out, name.len() as u32);
     out.extend_from_slice(name.as_bytes());
+}
+
+/// Appends a string as [`Reader::string`] reads it: `u64` length, then
+/// bytes.
+pub fn put_string(out: &mut Vec<u8>, s: &str) {
+    put_u64(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
 }
 
 // ---------------------------------------------------------------------------
@@ -179,31 +328,51 @@ fn put_name(out: &mut Vec<u8>, name: &str) {
 /// Encodes a parameter table: count, then per-parameter name, shape, data.
 pub fn encode_params(params: &[Parameter]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&(params.len() as u32).to_le_bytes());
+    put_u32(&mut out, params.len() as u32);
     for p in params {
         put_name(&mut out, &p.name());
         let value = p.value();
-        out.extend_from_slice(&(value.rank() as u32).to_le_bytes());
+        put_u32(&mut out, value.rank() as u32);
         for &dim in value.shape() {
-            out.extend_from_slice(&(dim as u64).to_le_bytes());
+            put_u64(&mut out, dim as u64);
         }
-        for &x in value.data() {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
+        put_f32s(&mut out, value.data());
     }
     out
 }
 
-/// Decodes a parameter table produced by [`encode_params`] into `params`,
-/// matching by position and validating shapes before touching any weights.
-pub fn decode_params(bytes: &[u8], params: &[Parameter]) -> Result<(), CheckpointError> {
-    let mut c = Cursor::new(bytes);
-    let count = c.u32()? as usize;
+/// Reads a parameter-table count, refusing one over the cap.
+fn param_count(r: &mut Reader<'_>) -> Result<usize, CheckpointError> {
+    let count = r.u32()? as usize;
     if count > MAX_PARAM_COUNT {
         return Err(CheckpointError::Malformed(format!(
             "parameter count {count} exceeds cap {MAX_PARAM_COUNT}"
         )));
     }
+    Ok(count)
+}
+
+/// Reads one parameter-table entry's name and shape, up to its data.
+fn param_head(r: &mut Reader<'_>) -> Result<(String, Vec<usize>), CheckpointError> {
+    let name = r.name("parameter")?;
+    let rank = r.u32()? as usize;
+    if rank > MAX_RANK {
+        return Err(CheckpointError::Malformed(format!(
+            "parameter rank {rank} exceeds cap {MAX_RANK}"
+        )));
+    }
+    let mut shape = Vec::with_capacity(rank);
+    for _ in 0..rank {
+        shape.push(r.u64()? as usize);
+    }
+    Ok((name, shape))
+}
+
+/// Decodes a parameter table produced by [`encode_params`] into `params`,
+/// matching by position and validating shapes before touching any weights.
+pub fn decode_params(bytes: &[u8], params: &[Parameter]) -> Result<(), CheckpointError> {
+    let mut r = Reader::new(bytes);
+    let count = param_count(&mut r)?;
     if count != params.len() {
         return Err(CheckpointError::ParameterMismatch {
             expected: format!("{} parameters", params.len()),
@@ -214,39 +383,17 @@ pub fn decode_params(bytes: &[u8], params: &[Parameter]) -> Result<(), Checkpoin
     // parameter, so a corrupt tail can never leave the model half-loaded.
     let mut staged = Vec::with_capacity(params.len());
     for p in params {
-        let name = c.name("parameter")?;
-        let rank = c.u32()? as usize;
-        if rank > MAX_RANK {
-            return Err(CheckpointError::Malformed(format!(
-                "parameter rank {rank} exceeds cap {MAX_RANK}"
-            )));
-        }
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            shape.push(c.u64()? as usize);
-        }
+        let (name, shape) = param_head(&mut r)?;
         if shape != p.shape() {
             return Err(CheckpointError::ParameterMismatch {
                 expected: format!("{} with shape {:?}", p.name(), p.shape()),
                 found: format!("{name} with shape {shape:?}"),
             });
         }
-        let len: usize = shape.iter().product();
-        let raw = c.take(len.checked_mul(4).ok_or_else(|| {
-            CheckpointError::Malformed("parameter data length overflows".into())
-        })?)?;
-        let mut data = Vec::with_capacity(len);
-        for chunk in raw.chunks_exact(4) {
-            data.push(f32::from_le_bytes(chunk.try_into().unwrap()));
-        }
+        let data = r.f32s(shape.iter().product())?;
         staged.push(Tensor::from_vec(shape, data));
     }
-    if c.remaining() != 0 {
-        return Err(CheckpointError::Malformed(format!(
-            "{} trailing bytes after parameter table",
-            c.remaining()
-        )));
-    }
+    r.finish("parameter table")?;
     for (p, t) in params.iter().zip(staged) {
         p.set_value(t);
     }
@@ -279,44 +426,21 @@ pub struct ParamEntry {
 /// [`CheckpointError::Truncated`] or [`CheckpointError::Malformed`] on a
 /// table that violates the format or its caps.
 pub fn decode_param_table(bytes: &[u8]) -> Result<Vec<ParamEntry>, CheckpointError> {
-    let mut c = Cursor::new(bytes);
-    let count = c.u32()? as usize;
-    if count > MAX_PARAM_COUNT {
-        return Err(CheckpointError::Malformed(format!(
-            "parameter count {count} exceeds cap {MAX_PARAM_COUNT}"
-        )));
-    }
+    let mut r = Reader::new(bytes);
+    let count = param_count(&mut r)?;
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
-        let name = c.name("parameter")?;
-        let rank = c.u32()? as usize;
-        if rank > MAX_RANK {
-            return Err(CheckpointError::Malformed(format!(
-                "parameter rank {rank} exceeds cap {MAX_RANK}"
-            )));
-        }
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            shape.push(c.u64()? as usize);
-        }
-        let len: usize = shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d)).ok_or_else(
-            || CheckpointError::Malformed("parameter element count overflows".into()),
-        )?;
-        let raw = c.take(len.checked_mul(4).ok_or_else(|| {
-            CheckpointError::Malformed("parameter data length overflows".into())
-        })?)?;
-        let mut data = Vec::with_capacity(len);
-        for chunk in raw.chunks_exact(4) {
-            data.push(f32::from_le_bytes(chunk.try_into().unwrap()));
-        }
+        let (name, shape) = param_head(&mut r)?;
+        let len = shape
+            .iter()
+            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+            .ok_or_else(|| {
+                CheckpointError::Malformed("parameter element count overflows".into())
+            })?;
+        let data = r.f32s(len)?;
         entries.push(ParamEntry { name, shape, data });
     }
-    if c.remaining() != 0 {
-        return Err(CheckpointError::Malformed(format!(
-            "{} trailing bytes after parameter table",
-            c.remaining()
-        )));
-    }
+    r.finish("parameter table")?;
     Ok(entries)
 }
 
@@ -325,40 +449,45 @@ pub fn decode_param_table(bytes: &[u8]) -> Result<Vec<ParamEntry>, CheckpointErr
 // ---------------------------------------------------------------------------
 
 /// Encodes an [`OptimizerState`]: kind, step counter, learning rate, and
-/// per-slot per-parameter `f32` buffers (SGD velocity; Adam `m`/`v`).
+/// per-slot per-parameter `f32` buffers (Adam's `m` and `v`).
 pub fn encode_optimizer(state: &OptimizerState) -> Vec<u8> {
     let mut out = Vec::new();
     put_name(&mut out, &state.kind);
-    out.extend_from_slice(&state.t.to_le_bytes());
-    out.extend_from_slice(&state.lr.to_le_bytes());
-    out.extend_from_slice(&(state.slots.len() as u32).to_le_bytes());
+    put_u64(&mut out, state.t);
+    put_f32(&mut out, state.lr);
+    put_u32(&mut out, state.slots.len() as u32);
     for slot in &state.slots {
-        out.extend_from_slice(&(slot.len() as u32).to_le_bytes());
+        put_u32(&mut out, slot.len() as u32);
         for buf in slot {
-            out.extend_from_slice(&(buf.len() as u64).to_le_bytes());
-            for &x in buf {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
+            put_u64(&mut out, buf.len() as u64);
+            put_f32s(&mut out, buf);
         }
     }
     out
 }
 
-/// Decodes an optimizer state produced by [`encode_optimizer`].
+/// Decodes an optimizer state produced by [`encode_optimizer`]. Only Adam
+/// state exists: any other kind, or a slot count other than Adam's two,
+/// is malformed.
 pub fn decode_optimizer(bytes: &[u8]) -> Result<OptimizerState, CheckpointError> {
-    let mut c = Cursor::new(bytes);
-    let kind = c.name("optimizer kind")?;
-    let t = c.u64()?;
-    let lr = c.f32()?;
-    let n_slots = c.u32()? as usize;
-    if n_slots > MAX_SLOT_COUNT {
+    let mut r = Reader::new(bytes);
+    let kind = r.name("optimizer kind")?;
+    if kind != ADAM_KIND {
         return Err(CheckpointError::Malformed(format!(
-            "optimizer slot count {n_slots} exceeds cap {MAX_SLOT_COUNT}"
+            "optimizer kind `{kind}` is not `{ADAM_KIND}`"
+        )));
+    }
+    let t = r.u64()?;
+    let lr = r.f32()?;
+    let n_slots = r.u32()? as usize;
+    if n_slots != ADAM_SLOTS {
+        return Err(CheckpointError::Malformed(format!(
+            "optimizer has {n_slots} state slots, adam has {ADAM_SLOTS}"
         )));
     }
     let mut slots = Vec::with_capacity(n_slots);
     for _ in 0..n_slots {
-        let n_params = c.u32()? as usize;
+        let n_params = r.u32()? as usize;
         if n_params > MAX_PARAM_COUNT {
             return Err(CheckpointError::Malformed(format!(
                 "optimizer parameter count {n_params} exceeds cap {MAX_PARAM_COUNT}"
@@ -366,24 +495,12 @@ pub fn decode_optimizer(bytes: &[u8]) -> Result<OptimizerState, CheckpointError>
         }
         let mut slot = Vec::with_capacity(n_params);
         for _ in 0..n_params {
-            let len = c.u64()? as usize;
-            let raw = c.take(len.checked_mul(4).ok_or_else(|| {
-                CheckpointError::Malformed("optimizer buffer length overflows".into())
-            })?)?;
-            let mut buf = Vec::with_capacity(len);
-            for chunk in raw.chunks_exact(4) {
-                buf.push(f32::from_le_bytes(chunk.try_into().unwrap()));
-            }
-            slot.push(buf);
+            let len = r.u64()? as usize;
+            slot.push(r.f32s(len)?);
         }
         slots.push(slot);
     }
-    if c.remaining() != 0 {
-        return Err(CheckpointError::Malformed(format!(
-            "{} trailing bytes after optimizer state",
-            c.remaining()
-        )));
-    }
+    r.finish("optimizer state")?;
     Ok(OptimizerState { kind, t, lr, slots })
 }
 
@@ -397,39 +514,41 @@ pub fn decode_optimizer(bytes: &[u8]) -> Result<OptimizerState, CheckpointError>
 pub fn encode_sections(sections: &[(String, Vec<u8>)]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION_V2.to_le_bytes());
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    put_u32(&mut out, VERSION_V2);
+    put_u32(&mut out, sections.len() as u32);
     for (name, payload) in sections {
         put_name(&mut out, name);
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        put_u64(&mut out, payload.len() as u64);
         out.extend_from_slice(payload);
     }
     let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    put_u32(&mut out, crc);
     out
 }
 
 /// Parses a v2 container produced by [`encode_sections`], validating magic,
-/// version, CRC footer, and every length field.
+/// version, CRC footer, and every length field, in that order.
 pub fn decode_sections(bytes: &[u8]) -> Result<Vec<(String, Vec<u8>)>, CheckpointError> {
-    if bytes.len() < 12 {
-        return Err(CheckpointError::Truncated);
-    }
-    if &bytes[..4] != MAGIC {
+    let mut r = Reader::new(bytes);
+    if r.take(MAGIC.len())? != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    let version = r.u32()?;
     if version != VERSION_V2 {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
-    let body = &bytes[..bytes.len() - 4];
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
-    let computed = crc32(body);
+    // Everything between the header and the 4-byte CRC footer.
+    let body_len = r
+        .remaining()
+        .checked_sub(4)
+        .ok_or(CheckpointError::Truncated)?;
+    let mut body = Reader::new(r.take(body_len)?);
+    let stored = r.u32()?;
+    let computed = crc32(&bytes[..bytes.len() - 4]);
     if computed != stored {
         return Err(CheckpointError::CorruptedCrc { computed, stored });
     }
-    let mut c = Cursor::new(&body[8..]);
-    let count = c.u32()? as usize;
+    let count = body.u32()? as usize;
     if count > MAX_SECTION_COUNT {
         return Err(CheckpointError::Malformed(format!(
             "section count {count} exceeds cap {MAX_SECTION_COUNT}"
@@ -438,9 +557,9 @@ pub fn decode_sections(bytes: &[u8]) -> Result<Vec<(String, Vec<u8>)>, Checkpoin
     let mut sections = Vec::with_capacity(count.min(1024));
     let mut seen = BTreeMap::new();
     for _ in 0..count {
-        let name = c.name("section")?;
-        let len = c.u64()? as usize;
-        let payload = c.take(len)?.to_vec();
+        let name = body.name("section")?;
+        let len = body.len(1)?;
+        let payload = body.take(len)?.to_vec();
         if seen.insert(name.clone(), ()).is_some() {
             return Err(CheckpointError::Malformed(format!(
                 "duplicate section `{name}`"
@@ -448,12 +567,7 @@ pub fn decode_sections(bytes: &[u8]) -> Result<Vec<(String, Vec<u8>)>, Checkpoin
         }
         sections.push((name, payload));
     }
-    if c.remaining() != 0 {
-        return Err(CheckpointError::Malformed(format!(
-            "{} trailing bytes after last section",
-            c.remaining()
-        )));
-    }
+    body.finish("last section")?;
     Ok(sections)
 }
 
@@ -546,29 +660,13 @@ pub fn save_params(path: impl AsRef<Path>, params: &[Parameter]) -> Result<(), C
 /// [`CheckpointError::Truncated`]/[`CheckpointError::Malformed`] on short or
 /// structurally invalid files — never a panic.
 pub fn load_params(path: impl AsRef<Path>, params: &[Parameter]) -> Result<(), CheckpointError> {
-    let bytes = fs::read(path)?;
-    if bytes.len() < 8 {
-        return Err(if bytes.len() >= 4 && &bytes[..4] != MAGIC {
-            CheckpointError::BadMagic
-        } else {
-            CheckpointError::Truncated
-        });
-    }
-    if &bytes[..4] != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    if version != VERSION_V2 {
-        return Err(CheckpointError::UnsupportedVersion(version));
-    }
-    let sections = decode_sections(&bytes)?;
-    decode_params(require_section(&sections, "params")?, params)
+    decode_params(require_section(&load_sections(path)?, "params")?, params)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer, Sgd};
+    use crate::optim::{Adam, Optimizer};
     use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
@@ -813,25 +911,87 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_state_roundtrip_sgd() {
-        let p = Parameter::new("p", Tensor::from_slice(&[1.0, 2.0, 3.0]));
-        let opt = Sgd::with_momentum(vec![p], 0.1, 0.9);
-        let state = opt.export_state();
-        assert_eq!(state.kind, "sgd");
-        let decoded = decode_optimizer(&encode_optimizer(&state)).unwrap();
-        assert_eq!(decoded, state);
-    }
-
-    #[test]
-    fn optimizer_import_rejects_wrong_kind_and_shape() {
+    fn optimizer_state_other_than_adam_is_refused() {
         let p = Parameter::new("p", Tensor::from_slice(&[0.0]));
-        let sgd = Sgd::new(vec![p.clone()], 0.1);
         let mut adam = Adam::new(vec![p.clone()], 0.1);
-        assert!(adam.import_state(sgd.export_state()).is_err());
+        let sgd = OptimizerState {
+            kind: "sgd".to_string(),
+            t: 0,
+            lr: 0.1,
+            slots: vec![vec![vec![0.0]]],
+        };
+        assert!(matches!(
+            decode_optimizer(&encode_optimizer(&sgd)),
+            Err(CheckpointError::Malformed(what)) if what.contains("sgd")
+        ));
+        assert!(adam.import_state(sgd).is_err());
+        let one_slot = OptimizerState {
+            kind: "adam".to_string(),
+            ..adam.export_state()
+        };
+        let one_slot = OptimizerState {
+            slots: one_slot.slots[..1].to_vec(),
+            ..one_slot
+        };
+        assert!(matches!(
+            decode_optimizer(&encode_optimizer(&one_slot)),
+            Err(CheckpointError::Malformed(_))
+        ));
 
         let big = Parameter::new("big", Tensor::from_slice(&[0.0, 0.0]));
         let other = Adam::new(vec![big], 0.1);
         assert!(adam.import_state(other.export_state()).is_err());
+    }
+
+    #[test]
+    fn reader_refuses_reads_past_the_end() {
+        let mut out = Vec::new();
+        put_u8(&mut out, 7);
+        put_f64(&mut out, -1.5);
+        put_string(&mut out, "series");
+        put_name(&mut out, "metric");
+        put_f32s(&mut out, &[1.0, 2.0]);
+        let mut r = Reader::new(&out);
+        assert_eq!(r.u8().unwrap(), 7);
+        assert_eq!(r.f64().unwrap(), -1.5);
+        assert_eq!(r.string().unwrap(), "series");
+        assert_eq!(r.name("metric").unwrap(), "metric");
+        assert!(matches!(
+            r.finish("blob"),
+            Err(CheckpointError::Malformed(_))
+        ));
+        assert_eq!(r.f32s(2).unwrap(), vec![1.0, 2.0]);
+        r.finish("blob").unwrap();
+        assert!(matches!(r.u8(), Err(CheckpointError::Truncated)));
+
+        // A count that cannot fit in the bytes left never sizes anything.
+        let mut hostile = Vec::new();
+        put_u64(&mut hostile, u64::MAX);
+        assert!(matches!(
+            Reader::new(&hostile).len(1),
+            Err(CheckpointError::Truncated)
+        ));
+        assert!(matches!(
+            Reader::new(&hostile).string(),
+            Err(CheckpointError::Truncated)
+        ));
+        assert!(matches!(
+            Reader::new(&[]).f32s(usize::MAX),
+            Err(CheckpointError::Truncated)
+        ));
+        let mut long = Vec::new();
+        put_u32(&mut long, MAX_NAME_LEN as u32 + 1);
+        assert!(matches!(
+            Reader::new(&long).name("x"),
+            Err(CheckpointError::Malformed(_))
+        ));
+        let mut latin1 = Vec::new();
+        put_name(&mut latin1, "ok");
+        latin1[4] = 0xff;
+        assert!(matches!(
+            Reader::new(&latin1).name("x"),
+            Err(CheckpointError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! against a naive f64 reference, and update-to-weight ratio invariants.
 
 use hero_autograd::diagnostics::{grad_health, StepDiagnostics};
-use hero_autograd::optim::{Optimizer, Sgd};
+use hero_autograd::optim::{Adam, Optimizer};
 use hero_autograd::{Graph, Parameter, Tensor};
 use hero_telemetry as telemetry;
 use proptest::prelude::*;
@@ -64,10 +64,11 @@ proptest! {
         prop_assert!((h.grad_l2 - ref_l2).abs() <= 1e-4 * (1.0 + ref_l2));
     }
 
-    /// For plain SGD the update is exactly `lr·g`, so the recorded
-    /// update-to-weight ratio must equal `lr·‖g‖ / ‖w_pre‖` — and is
-    /// always finite and non-negative.
-    fn sgd_update_ratio_matches_lr_times_grad_norm(
+    /// The recorded update-to-weight ratio is the measured change in the
+    /// weights over their pre-step norm, `‖w_post − w_pre‖ / ‖w_pre‖`, for
+    /// the update Adam actually wrote — and is always finite and
+    /// non-negative.
+    fn adam_update_ratio_matches_the_measured_weight_change(
         weights in prop::collection::vec(0.5f32..8.0, 2..12),
         grads in prop::collection::vec(-4.0f32..4.0, 2..12),
         lr in 1e-4f32..0.5,
@@ -76,14 +77,22 @@ proptest! {
         let (weights, grads) = (&weights[..n], &grads[..n]);
         let t = telemetry::scoped(telemetry::TelemetryConfig::default());
         let p = Parameter::new("w", Tensor::from_vec(vec![1, n], weights.to_vec()));
-        let mut opt = Sgd::new(vec![p.clone()], lr);
+        let mut opt = Adam::new(vec![p.clone()], lr);
         opt.set_diagnostics(StepDiagnostics::named("prop"));
         seed_grad(&p, grads);
         opt.step();
         let snap = t.snapshot();
         let ratio = snap.values["update_ratio/prop/w"].mean;
         prop_assert!(ratio.is_finite() && ratio >= 0.0);
-        let expected = lr as f64 * naive_l2(grads) / naive_l2(weights);
+        let delta_l2 = p
+            .value()
+            .data()
+            .iter()
+            .zip(weights)
+            .map(|(&after, &before)| (after as f64 - before as f64).powi(2))
+            .sum::<f64>()
+            .sqrt();
+        let expected = delta_l2 / naive_l2(weights);
         prop_assert!(
             (ratio - expected).abs() <= 1e-3 * (1.0 + expected),
             "ratio {ratio} vs expected {expected}"

@@ -1,13 +1,13 @@
 //! Property tests for the tiled matmul kernels: across randomized — and
 //! deliberately ragged — shapes, the register-tiled `matmul`, the fused
-//! `matmul_nt` (A·Bᵀ) and `matmul_tn` (Aᵀ·B), and the sparse entry point
-//! must all agree with an f64-accumulated reference within 1e-5.
+//! `matmul_nt` (A·Bᵀ) and `matmul_tn` (Aᵀ·B) must all agree with an
+//! f64-accumulated reference within 1e-5.
 //!
 //! Shapes are drawn past the kernel's tile sizes (MR = 4 rows, NR = 32
 //! columns) so full tiles, row tails, column tails, and tiny degenerate
 //! shapes are all exercised.
 
-use hero_autograd::{matmul, matmul_nt, matmul_sparse_lhs, matmul_tn, Tensor};
+use hero_autograd::{matmul, matmul_nt, matmul_tn, Tensor};
 use proptest::prelude::*;
 
 const TOL: f32 = 1e-5;
@@ -88,26 +88,5 @@ proptest! {
         let a = Tensor::from_vec(vec![k, m], av);
         let b = Tensor::from_vec(vec![k, n], bv);
         assert_close(&matmul_tn(&a, &b), &want, "matmul_tn", m, k, n);
-    }
-
-    fn sparse_entry_point_is_bit_identical_to_dense((m, k, n) in dims(), raw in values(41 * 19 + 19 * 70), zero_rows in 0usize..4) {
-        // matmul_sparse_lhs keeps the zero-skip fast path; on the same
-        // inputs it must agree with the dense kernel bit for bit, because
-        // both accumulate each output element in ascending-p order.
-        let mut av = raw[..m * k].to_vec();
-        for r in 0..zero_rows.min(m) {
-            av[r * k..(r + 1) * k].fill(0.0);
-        }
-        let bv = raw[raw.len() - k * n..].to_vec();
-        let a = Tensor::from_vec(vec![m, k], av);
-        let b = Tensor::from_vec(vec![k, n], bv);
-        let dense = matmul(&a, &b);
-        let sparse = matmul_sparse_lhs(&a, &b);
-        for (idx, (x, y)) in dense.data().iter().zip(sparse.data()).enumerate() {
-            assert!(
-                x.to_bits() == y.to_bits(),
-                "sparse/dense divergence {m}x{k}x{n} at {idx}: {x} vs {y}"
-            );
-        }
     }
 }

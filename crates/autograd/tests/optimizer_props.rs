@@ -1,6 +1,6 @@
 //! Property tests for the optimizers and checkpoint robustness.
 
-use hero_autograd::optim::{clip_grad_norm, Adam, Optimizer, Sgd};
+use hero_autograd::optim::{clip_grad_norm, Adam, Optimizer};
 use hero_autograd::serialize::{load_params, save_params};
 use hero_autograd::{CheckpointError, Graph, Parameter, Tensor};
 use proptest::prelude::*;
@@ -20,22 +20,6 @@ fn quadratic_grad(p: &Parameter, target: &[f32]) -> f32 {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// SGD with a small learning rate never increases a convex quadratic.
-    fn sgd_monotone_on_quadratic(
-        start in prop::collection::vec(-3.0f32..3.0, 3),
-        target in prop::collection::vec(-3.0f32..3.0, 3),
-    ) {
-        let p = Parameter::new("p", Tensor::from_vec(vec![1, 3], start));
-        let mut opt = Sgd::new(vec![p.clone()], 0.05);
-        let mut prev = f32::INFINITY;
-        for _ in 0..50 {
-            let loss = quadratic_grad(&p, &target);
-            prop_assert!(loss <= prev + 1e-4, "loss increased: {prev} -> {loss}");
-            prev = loss;
-            opt.step();
-        }
-    }
 
     /// Adam converges to the quadratic's minimum from any start.
     fn adam_converges_on_quadratic(

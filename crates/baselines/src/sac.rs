@@ -9,7 +9,8 @@
 use hero_autograd::diagnostics::StepDiagnostics;
 use hero_autograd::nn::{Activation, ConvEncoder, Linear, Mlp, Module};
 use hero_autograd::optim::{Adam, Optimizer};
-use hero_autograd::{loss, serialize, zero_grads, CheckpointError, Graph, NodeId, Parameter, Tensor};
+use hero_autograd::serialize::{self, put_f32, Reader};
+use hero_autograd::{loss, zero_grads, CheckpointError, Graph, NodeId, Parameter, Tensor};
 use rand::rngs::StdRng;
 
 use hero_rl::buffer::ReplayBuffer;
@@ -571,8 +572,8 @@ impl SacAgent {
     /// makes continued training bit-identical to never having stopped.
     pub fn save_state(&self) -> Vec<(String, Vec<u8>)> {
         let mut scalars = Vec::with_capacity(8);
-        scalars.extend_from_slice(&self.log_alpha.to_le_bytes());
-        scalars.extend_from_slice(&self.target_entropy.to_le_bytes());
+        put_f32(&mut scalars, self.log_alpha);
+        put_f32(&mut scalars, self.target_entropy);
         vec![
             ("params".to_string(), serialize::encode_params(&self.parameters())),
             (
@@ -601,7 +602,6 @@ impl SacAgent {
     /// shaped for a different architecture. The agent is left unchanged on
     /// a decode error in any section that is validated before application.
     pub fn load_state(&mut self, sections: &[(String, Vec<u8>)]) -> Result<(), CheckpointError> {
-        let malformed = |what: String| CheckpointError::Malformed(what);
         // Decode everything fallible first, then apply.
         let actor_state =
             serialize::decode_optimizer(serialize::require_section(sections, "actor_opt")?)?;
@@ -609,19 +609,15 @@ impl SacAgent {
             serialize::decode_optimizer(serialize::require_section(sections, "critic_opt")?)?;
         let buffer = snapshot::decode_replay::<ContinuousTransition>(serialize::require_section(
             sections, "buffer",
-        )?)
-        .map_err(|e| malformed(format!("sac buffer: {e}")))?;
-        let scalars = serialize::require_section(sections, "scalars")?;
-        if scalars.len() != 8 {
-            return Err(malformed(format!(
-                "sac scalars section has {} bytes, expected 8",
-                scalars.len()
-            )));
-        }
-        let log_alpha = f32::from_le_bytes(scalars[0..4].try_into().unwrap());
-        let target_entropy = f32::from_le_bytes(scalars[4..8].try_into().unwrap());
+        )?)?;
+        let mut scalars = Reader::new(serialize::require_section(sections, "scalars")?);
+        let log_alpha = scalars.f32()?;
+        let target_entropy = scalars.f32()?;
+        scalars.finish("sac scalars")?;
         if !log_alpha.is_finite() || !target_entropy.is_finite() {
-            return Err(malformed("sac scalars are not finite".to_string()));
+            return Err(CheckpointError::Malformed(
+                "sac scalars are not finite".to_string(),
+            ));
         }
 
         serialize::decode_params(

@@ -2,9 +2,10 @@
 //! the SMDP segment bookkeeping that turns environment steps into option
 //! transitions (Algorithm 1).
 
+use hero_autograd::serialize::{self, put_u64, Reader};
 use hero_autograd::{CheckpointError, TensorPool};
 use hero_baselines::common::UpdateStats;
-use hero_rl::snapshot::{self, Codec};
+use hero_rl::snapshot::Codec;
 use rand::rngs::StdRng;
 
 use hero_sim::options::DrivingOption;
@@ -428,7 +429,7 @@ impl HeroAgent {
                 .map(|(name, bytes)| (format!("opp/{name}"), bytes)),
         );
         let mut book = Vec::new();
-        book.extend_from_slice(&(self.selections as u64).to_le_bytes());
+        put_u64(&mut book, self.selections as u64);
         self.opponent_losses.encode(&mut book);
         sections.push(("bookkeeping".to_string(), book));
         sections
@@ -451,14 +452,10 @@ impl HeroAgent {
                 })
                 .collect()
         };
-        let book = hero_autograd::serialize::require_section(sections, "bookkeeping")?;
-        let mut r = snapshot::Reader::new(book);
-        let mapped = |e: snapshot::SnapshotError| {
-            CheckpointError::Malformed(format!("agent bookkeeping: {e}"))
-        };
-        let selections = r.u64().map_err(mapped)? as usize;
-        let opponent_losses: Vec<Vec<f32>> = Codec::decode(&mut r).map_err(mapped)?;
-        r.finish().map_err(mapped)?;
+        let mut r = Reader::new(serialize::require_section(sections, "bookkeeping")?);
+        let selections = r.u64()? as usize;
+        let opponent_losses: Vec<Vec<f32>> = Codec::decode(&mut r)?;
+        r.finish("agent bookkeeping")?;
         if opponent_losses.len() != self.opponent_losses.len() {
             return Err(CheckpointError::Malformed(format!(
                 "checkpoint tracks {} opponents, agent has {}",

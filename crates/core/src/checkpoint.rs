@@ -16,7 +16,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use hero_autograd::serialize;
+use hero_autograd::serialize::{self, put_u32, put_u64, Reader};
 use hero_autograd::CheckpointError;
 use hero_faultplan::FaultPlan;
 use hero_rl::metrics::Recorder;
@@ -84,10 +84,10 @@ impl TrainerSnapshot {
     /// Serializes the snapshot into named checkpoint sections.
     pub fn to_sections(&self) -> Vec<(String, Vec<u8>)> {
         let mut meta = Vec::new();
-        meta.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        meta.extend_from_slice(&(self.next_episode as u64).to_le_bytes());
-        meta.extend_from_slice(&(self.step_counter as u64).to_le_bytes());
-        meta.extend_from_slice(&(self.update_counter as u64).to_le_bytes());
+        put_u32(&mut meta, SNAPSHOT_VERSION);
+        put_u64(&mut meta, self.next_episode as u64);
+        put_u64(&mut meta, self.step_counter as u64);
+        put_u64(&mut meta, self.update_counter as u64);
 
         let mut rngs = Vec::new();
         self.trainer_rng.to_vec().encode(&mut rngs);
@@ -102,7 +102,7 @@ impl TrainerSnapshot {
             ),
         ];
         if let Some(state) = &self.telemetry {
-            sections.push(("telemetry".to_string(), state.to_bytes()));
+            sections.push(("telemetry".to_string(), snapshot::encode_registry(state)));
         }
         if let Some(workers) = &self.workers {
             let mut blob = Vec::new();
@@ -124,54 +124,40 @@ impl TrainerSnapshot {
     /// [`CheckpointError::KernelModeMismatch`] for a fast-math checkpoint
     /// (see [`serialize::check_kernel_mode`]).
     pub fn from_sections(sections: &[(String, Vec<u8>)]) -> Result<Self, CheckpointError> {
-        let malformed = |what: String| CheckpointError::Malformed(what);
-
-        let meta = serialize::require_section(sections, "meta")?;
-        if meta.len() != 4 + 8 * 3 {
-            return Err(malformed(format!(
-                "meta section has {} bytes, expected 28",
-                meta.len()
-            )));
-        }
-        let version = u32::from_le_bytes(meta[0..4].try_into().unwrap());
+        let mut meta = Reader::new(serialize::require_section(sections, "meta")?);
+        let version = meta.u32()?;
         if version != SNAPSHOT_VERSION {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
-        let word = |i: usize| u64::from_le_bytes(meta[4 + 8 * i..12 + 8 * i].try_into().unwrap());
+        let next_episode = meta.u64()? as usize;
+        let step_counter = meta.u64()? as usize;
+        let update_counter = meta.u64()? as usize;
+        meta.finish("meta section")?;
 
-        let rngs_blob = serialize::require_section(sections, "rngs")?;
-        let mut r = snapshot::Reader::new(rngs_blob);
-        let mapped = |e: snapshot::SnapshotError| malformed(format!("rng section: {e}"));
-        let trainer_words: Vec<u64> = decode_u64s(&mut r).map_err(mapped)?;
-        let env_rng: Vec<u64> = decode_u64s(&mut r).map_err(mapped)?;
-        r.finish().map_err(mapped)?;
+        let mut rngs = Reader::new(serialize::require_section(sections, "rngs")?);
+        let trainer_words: Vec<u64> = Codec::decode(&mut rngs)?;
+        let env_rng: Vec<u64> = Codec::decode(&mut rngs)?;
+        rngs.finish("rngs section")?;
         let trainer_rng: [u64; 4] = trainer_words
             .as_slice()
             .try_into()
-            .map_err(|_| malformed("trainer rng must be 4 words".to_string()))?;
+            .map_err(|_| CheckpointError::Malformed("trainer rng must be 4 words".to_string()))?;
 
         let recorder =
-            snapshot::decode_recorder(serialize::require_section(sections, "recorder")?)
-                .map_err(|e| malformed(format!("recorder section: {e}")))?;
+            snapshot::decode_recorder(serialize::require_section(sections, "recorder")?)?;
 
-        let telemetry = match serialize::find_section(sections, "telemetry") {
-            Some(bytes) => Some(
-                RegistryState::from_bytes(bytes)
-                    .map_err(|e| malformed(format!("telemetry section: {e}")))?,
-            ),
-            None => None,
-        };
+        let telemetry = serialize::find_section(sections, "telemetry")
+            .map(snapshot::decode_registry)
+            .transpose()?;
 
         let workers = match serialize::find_section(sections, "workers") {
             Some(bytes) => {
-                let mut r = snapshot::Reader::new(bytes);
-                let mapped =
-                    |e: snapshot::SnapshotError| malformed(format!("workers section: {e}"));
-                let rngs: Vec<Vec<u64>> = Codec::decode(&mut r).map_err(mapped)?;
-                let last_options: Vec<Vec<usize>> = Codec::decode(&mut r).map_err(mapped)?;
-                r.finish().map_err(mapped)?;
+                let mut r = Reader::new(bytes);
+                let rngs: Vec<Vec<u64>> = Codec::decode(&mut r)?;
+                let last_options: Vec<Vec<usize>> = Codec::decode(&mut r)?;
+                r.finish("workers section")?;
                 if rngs.len() != last_options.len() {
-                    return Err(malformed(format!(
+                    return Err(CheckpointError::Malformed(format!(
                         "workers section: {} rng streams vs {} last-option vectors",
                         rngs.len(),
                         last_options.len()
@@ -191,9 +177,9 @@ impl TrainerSnapshot {
             .collect();
 
         Ok(Self {
-            next_episode: word(0) as usize,
-            step_counter: word(1) as usize,
-            update_counter: word(2) as usize,
+            next_episode,
+            step_counter,
+            update_counter,
             trainer_rng,
             env_rng,
             recorder,
@@ -202,15 +188,6 @@ impl TrainerSnapshot {
             team_sections,
         })
     }
-}
-
-fn decode_u64s(r: &mut snapshot::Reader<'_>) -> Result<Vec<u64>, snapshot::SnapshotError> {
-    let n = r.len(8)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u64()?);
-    }
-    Ok(out)
 }
 
 /// The result of scanning a checkpoint directory for the newest loadable

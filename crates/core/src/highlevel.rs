@@ -402,8 +402,7 @@ impl HighLevelLearner {
             serialize::decode_optimizer(serialize::require_section(sections, "critic_opt")?)?;
         let buffer = snapshot::decode_replay::<OptionTransition>(serialize::require_section(
             sections, "buffer",
-        )?)
-        .map_err(|e| CheckpointError::Malformed(format!("high-level buffer: {e}")))?;
+        )?)?;
         serialize::decode_params(
             serialize::require_section(sections, "params")?,
             &self.parameters(),

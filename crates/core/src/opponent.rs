@@ -13,7 +13,8 @@
 use hero_autograd::diagnostics::StepDiagnostics;
 use hero_autograd::nn::{Activation, Mlp, Module};
 use hero_autograd::optim::{Adam, Optimizer};
-use hero_autograd::{loss, serialize, CheckpointError, Graph, Parameter, Tensor, TensorPool};
+use hero_autograd::serialize::{self, put_u64, Reader};
+use hero_autograd::{loss, CheckpointError, Graph, Parameter, Tensor, TensorPool};
 use rand::rngs::StdRng;
 
 use hero_rl::buffer::{Draw, ReplayBuffer};
@@ -252,10 +253,10 @@ impl OpponentModel {
     /// names; the caller prefixes them per agent).
     pub fn save_state(&self) -> Vec<(String, Vec<u8>)> {
         let mut opts = Vec::new();
-        opts.extend_from_slice(&(self.opts.len() as u64).to_le_bytes());
+        put_u64(&mut opts, self.opts.len() as u64);
         for opt in &self.opts {
             let blob = serialize::encode_optimizer(&opt.export_state());
-            opts.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+            put_u64(&mut opts, blob.len() as u64);
             opts.extend_from_slice(&blob);
         }
         vec![
@@ -273,32 +274,23 @@ impl OpponentModel {
     /// Returns [`CheckpointError`] when a section is missing, malformed, or
     /// sized for a different opponent count/architecture.
     pub fn load_state(&mut self, sections: &[(String, Vec<u8>)]) -> Result<(), CheckpointError> {
-        let malformed = |what: String| CheckpointError::Malformed(what);
-        let opts_blob = serialize::require_section(sections, "opts")?;
-        let mut r = snapshot::Reader::new(opts_blob);
-        let n = r
-            .u64()
-            .map_err(|e| malformed(format!("opponent opts: {e}")))? as usize;
+        let mut r = Reader::new(serialize::require_section(sections, "opts")?);
+        let n = r.u64()? as usize;
         if n != self.opts.len() {
-            return Err(malformed(format!(
+            return Err(CheckpointError::Malformed(format!(
                 "checkpoint has {n} opponent optimizers, model has {}",
                 self.opts.len()
             )));
         }
         let mut states = Vec::with_capacity(n);
         for _ in 0..n {
-            let len = r
-                .len(1)
-                .map_err(|e| malformed(format!("opponent opts: {e}")))?;
-            let blob = r
-                .take(len)
-                .map_err(|e| malformed(format!("opponent opts: {e}")))?;
-            states.push(serialize::decode_optimizer(blob)?);
+            let len = r.len(1)?;
+            states.push(serialize::decode_optimizer(r.take(len)?)?);
         }
+        r.finish("opponent opts")?;
         let buffer = snapshot::decode_replay::<OpponentSample>(serialize::require_section(
             sections, "buffer",
-        )?)
-        .map_err(|e| malformed(format!("opponent buffer: {e}")))?;
+        )?)?;
         serialize::decode_params(
             serialize::require_section(sections, "params")?,
             &self.parameters(),
@@ -326,7 +318,7 @@ impl snapshot::Codec for OpponentSample {
         self.obs.encode(out);
         self.options.encode(out);
     }
-    fn decode(r: &mut snapshot::Reader<'_>) -> Result<Self, snapshot::SnapshotError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         Ok(Self {
             obs: snapshot::Codec::decode(r)?,
             options: snapshot::Codec::decode(r)?,

@@ -15,10 +15,11 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use hero_autograd::serialize::Reader;
 use hero_autograd::CheckpointError;
 use hero_faultplan::{FaultPlan, KillMode};
 use hero_rl::metrics::Recorder;
-use hero_rl::snapshot::{self, Codec};
+use hero_rl::snapshot::Codec;
 use hero_rl::telemetry;
 use hero_sim::env::{CooperativeWorld, Observation};
 use hero_sim::track::Track;
@@ -374,12 +375,9 @@ impl HeroTeam {
     pub fn load_state(&mut self, sections: &[(String, Vec<u8>)]) -> Result<(), CheckpointError> {
         let last_blob =
             hero_autograd::serialize::require_section(sections, "team/last_options")?;
-        let mut r = snapshot::Reader::new(last_blob);
-        let mapped = |e: snapshot::SnapshotError| {
-            CheckpointError::Malformed(format!("team/last_options: {e}"))
-        };
-        let last_options: Vec<usize> = Codec::decode(&mut r).map_err(mapped)?;
-        r.finish().map_err(mapped)?;
+        let mut r = Reader::new(last_blob);
+        let last_options: Vec<usize> = Codec::decode(&mut r)?;
+        r.finish("team/last_options")?;
         if last_options.len() != self.agents.len() {
             return Err(CheckpointError::Malformed(format!(
                 "checkpoint is for a team of {}, this team has {}",

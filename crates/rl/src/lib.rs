@@ -43,7 +43,7 @@ pub use buffer::ReplayBuffer;
 pub use explore::{greedy, EpsilonGreedy};
 pub use metrics::{summarize, MovingAverage, Recorder, Summary};
 pub use schedule::Schedule;
-pub use snapshot::{Codec, SnapshotError};
+pub use snapshot::Codec;
 pub use target::{hard_update, soft_update};
 pub use transition::{
     ContinuousTransition, DiscreteTransition, JointTransition, OptionTransition, Transition,

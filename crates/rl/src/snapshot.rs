@@ -1,126 +1,23 @@
-//! Binary snapshot codec for RL state: replay buffers, transitions and
-//! metric recorders.
+//! The RL-side checkpoint sections: replay buffers, transitions, metric
+//! recorders and telemetry registry state.
 //!
-//! Everything encodes to compact little-endian blobs intended to be stored
-//! as opaque sections of a v2 checkpoint (`hero_autograd::serialize`).
-//! Decoding is fully bounds-checked: corrupted input yields a typed
-//! [`SnapshotError`], never a panic or unbounded allocation.
+//! Each encodes to a blob stored as one section of a v2 checkpoint. The
+//! byte layout lives in `hero_autograd::serialize`: every blob here is
+//! read through its bounds-checked [`Reader`] and written with its `put_*`
+//! writers, so corrupt input yields a typed [`CheckpointError`], never a
+//! panic or an unbounded allocation.
 
 use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
+
+use hero_autograd::serialize::{
+    put_f32, put_f32s, put_f64, put_f64s, put_name, put_string, put_u32, put_u64, put_u8, Reader,
+};
+use hero_autograd::CheckpointError;
+use hero_telemetry::{HistogramState, RegistryState};
 
 use crate::buffer::ReplayBuffer;
 use crate::metrics::Recorder;
 use crate::transition::{JointTransition, OptionTransition, Transition};
-
-/// Error decoding a snapshot blob.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// The blob ended before all declared data was read.
-    Truncated,
-    /// A structural invariant is violated (impossible lengths, invalid
-    /// buffer state, non-UTF-8 strings, ...).
-    Malformed(String),
-}
-
-impl fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SnapshotError::Truncated => write!(f, "snapshot blob is truncated"),
-            SnapshotError::Malformed(what) => write!(f, "malformed snapshot: {what}"),
-        }
-    }
-}
-
-impl Error for SnapshotError {}
-
-/// Bounds-checked little-endian reader over a snapshot blob.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Wraps `buf` for reading from the start.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Consumes exactly `n` bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] when fewer than `n` bytes remain.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if n > self.remaining() {
-            return Err(SnapshotError::Truncated);
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    /// Reads a `u8`.
-    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `f32`.
-    pub fn f32(&mut self) -> Result<f32, SnapshotError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a `u64` length prefix, capped so hostile blobs cannot force
-    /// huge allocations: the declared element count must fit in the bytes
-    /// remaining assuming at least `min_elem_bytes` bytes per element.
-    pub fn len(&mut self, min_elem_bytes: usize) -> Result<usize, SnapshotError> {
-        let n = self.u64()? as usize;
-        if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(n)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String, SnapshotError> {
-        let n = self.len(1)?;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| SnapshotError::Malformed("string is not utf-8".to_string()))
-    }
-
-    /// Fails unless every byte has been consumed.
-    pub fn finish(&self) -> Result<(), SnapshotError> {
-        if self.remaining() != 0 {
-            return Err(SnapshotError::Malformed(format!(
-                "{} trailing bytes",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Appends a length-prefixed UTF-8 string.
-pub fn put_string(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
 
 /// A type that can be snapshotted to/from the wire format.
 pub trait Codec: Sized {
@@ -130,58 +27,57 @@ pub trait Codec: Sized {
     ///
     /// # Errors
     ///
-    /// Any [`SnapshotError`] from the underlying reads.
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError>;
+    /// Any [`CheckpointError`] from the underlying reads.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError>;
 }
 
 impl Codec for f32 {
     fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+        put_f32(out, *self);
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         r.f32()
     }
 }
 
 impl Codec for u64 {
     fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
+        put_u64(out, *self);
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         r.u64()
     }
 }
 
 impl Codec for usize {
     fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(*self as u64).to_le_bytes());
+        put_u64(out, *self as u64);
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         Ok(r.u64()? as usize)
     }
 }
 
 impl Codec for bool {
     fn encode(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(*self));
+        put_u8(out, u8::from(*self));
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         match r.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            other => Err(SnapshotError::Malformed(format!("invalid bool byte {other}"))),
+            other => Err(CheckpointError::Malformed(format!(
+                "invalid bool byte {other}"
+            ))),
         }
     }
 }
 
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for v in self {
-            v.encode(out);
-        }
+        encode_slice(self, out);
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         let n = r.len(1)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
@@ -194,18 +90,18 @@ impl<T: Codec> Codec for Vec<T> {
 impl<T: Codec> Codec for Option<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            None => out.push(0),
+            None => put_u8(out, 0),
             Some(v) => {
-                out.push(1);
+                put_u8(out, 1);
                 v.encode(out);
             }
         }
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         match r.u8()? {
             0 => Ok(None),
             1 => Ok(Some(T::decode(r)?)),
-            other => Err(SnapshotError::Malformed(format!(
+            other => Err(CheckpointError::Malformed(format!(
                 "invalid option tag {other}"
             ))),
         }
@@ -220,7 +116,7 @@ impl<A: Codec> Codec for Transition<A> {
         self.next_obs.encode(out);
         self.done.encode(out);
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         Ok(Self {
             obs: Codec::decode(r)?,
             action: Codec::decode(r)?,
@@ -239,7 +135,7 @@ impl<A: Codec> Codec for JointTransition<A> {
         self.next_obs.encode(out);
         self.done.encode(out);
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         Ok(Self {
             obs: Codec::decode(r)?,
             actions: Codec::decode(r)?,
@@ -260,7 +156,7 @@ impl Codec for OptionTransition {
         self.next_obs.encode(out);
         self.done.encode(out);
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, SnapshotError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         Ok(Self {
             obs: Codec::decode(r)?,
             option: Codec::decode(r)?,
@@ -276,23 +172,18 @@ impl Codec for OptionTransition {
 /// Encodes a replay buffer: capacity, head, then items in storage order.
 pub fn encode_replay<T: Codec>(buf: &ReplayBuffer<T>) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&(buf.capacity() as u64).to_le_bytes());
-    out.extend_from_slice(&(buf.head() as u64).to_le_bytes());
-    buf.items().to_vec_encode(&mut out);
+    put_u64(&mut out, buf.capacity() as u64);
+    put_u64(&mut out, buf.head() as u64);
+    encode_slice(buf.items(), &mut out);
     out
 }
 
-// Helper so `encode_replay` can encode a slice without cloning items.
-trait SliceEncode {
-    fn to_vec_encode(&self, out: &mut Vec<u8>);
-}
-
-impl<T: Codec> SliceEncode for [T] {
-    fn to_vec_encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for v in self {
-            v.encode(out);
-        }
+/// Encodes a slice as a `Vec` encodes: `u64` length, then each item. Lets
+/// [`encode_replay`] encode the buffer's storage without cloning it.
+fn encode_slice<T: Codec>(items: &[T], out: &mut Vec<u8>) {
+    put_u64(out, items.len() as u64);
+    for v in items {
+        v.encode(out);
     }
 }
 
@@ -301,28 +192,26 @@ impl<T: Codec> SliceEncode for [T] {
 ///
 /// # Errors
 ///
-/// Any [`SnapshotError`] on truncation or inconsistent parts.
-pub fn decode_replay<T: Codec>(bytes: &[u8]) -> Result<ReplayBuffer<T>, SnapshotError> {
+/// Any [`CheckpointError`] on truncation or inconsistent parts.
+pub fn decode_replay<T: Codec>(bytes: &[u8]) -> Result<ReplayBuffer<T>, CheckpointError> {
     let mut r = Reader::new(bytes);
     let capacity = r.u64()? as usize;
     let head = r.u64()? as usize;
     let items: Vec<T> = Codec::decode(&mut r)?;
-    r.finish()?;
-    ReplayBuffer::from_parts(capacity, items, head).map_err(SnapshotError::Malformed)
+    r.finish("replay buffer")?;
+    ReplayBuffer::from_parts(capacity, items, head).map_err(CheckpointError::Malformed)
 }
 
 /// Encodes a metric [`Recorder`]: every named series with its values.
 pub fn encode_recorder(rec: &Recorder) -> Vec<u8> {
     let mut out = Vec::new();
     let names = rec.names();
-    out.extend_from_slice(&(names.len() as u64).to_le_bytes());
+    put_u64(&mut out, names.len() as u64);
     for name in names {
         put_string(&mut out, name);
         let series = rec.series(name).unwrap_or(&[]);
-        out.extend_from_slice(&(series.len() as u64).to_le_bytes());
-        for &v in series {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        put_u64(&mut out, series.len() as u64);
+        put_f32s(&mut out, series);
     }
     out
 }
@@ -331,22 +220,17 @@ pub fn encode_recorder(rec: &Recorder) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Any [`SnapshotError`] on truncation or malformed names.
-pub fn decode_recorder(bytes: &[u8]) -> Result<Recorder, SnapshotError> {
+/// Any [`CheckpointError`] on truncation or malformed names.
+pub fn decode_recorder(bytes: &[u8]) -> Result<Recorder, CheckpointError> {
     let mut r = Reader::new(bytes);
     let n_series = r.len(8)?;
     let mut series: BTreeMap<String, Vec<f32>> = BTreeMap::new();
     for _ in 0..n_series {
         let name = r.string()?;
         let len = r.len(4)?;
-        let raw = r.take(len * 4)?;
-        let mut values = Vec::with_capacity(len);
-        for chunk in raw.chunks_exact(4) {
-            values.push(f32::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        series.insert(name, values);
+        series.insert(name, r.f32s(len)?);
     }
-    r.finish()?;
+    r.finish("recorder")?;
     let mut rec = Recorder::default();
     for (name, values) in series {
         for v in values {
@@ -354,6 +238,91 @@ pub fn decode_recorder(bytes: &[u8]) -> Result<Recorder, SnapshotError> {
         }
     }
     Ok(rec)
+}
+
+/// Largest reservoir capacity a decoded telemetry histogram may declare.
+const MAX_RESERVOIR: usize = 1 << 24;
+
+/// Encodes a telemetry [`RegistryState`]: counters, then span and value
+/// histograms, each map as a `u32` count of `(name, entry)` pairs.
+pub fn encode_registry(state: &RegistryState) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_u32(&mut out, state.counters.len() as u32);
+    for (name, &total) in &state.counters {
+        put_name(&mut out, name);
+        put_u64(&mut out, total);
+    }
+    for map in [&state.spans, &state.values] {
+        put_u32(&mut out, map.len() as u32);
+        for (name, h) in map {
+            put_name(&mut out, name);
+            put_u64(&mut out, h.count);
+            put_u64(&mut out, h.rejected);
+            put_f64(&mut out, h.sum);
+            put_f64(&mut out, h.min);
+            put_f64(&mut out, h.max);
+            put_u64(&mut out, h.capacity as u64);
+            put_u64(&mut out, h.rng_state);
+            put_u64(&mut out, h.reservoir.len() as u64);
+            put_f64s(&mut out, &h.reservoir);
+        }
+    }
+    out
+}
+
+/// Decodes telemetry state written by [`encode_registry`].
+///
+/// # Errors
+///
+/// Any [`CheckpointError`] on truncation, a reservoir longer than its
+/// capacity, or a capacity over 2^24.
+pub fn decode_registry(bytes: &[u8]) -> Result<RegistryState, CheckpointError> {
+    let mut r = Reader::new(bytes);
+    let mut counters = BTreeMap::new();
+    for _ in 0..r.u32()? {
+        let name = r.name("telemetry")?;
+        counters.insert(name, r.u64()?);
+    }
+    let mut maps = [BTreeMap::new(), BTreeMap::new()];
+    for map in &mut maps {
+        for _ in 0..r.u32()? {
+            let name = r.name("telemetry")?;
+            map.insert(name, decode_histogram(&mut r)?);
+        }
+    }
+    r.finish("telemetry state")?;
+    let [spans, values] = maps;
+    Ok(RegistryState {
+        counters,
+        spans,
+        values,
+    })
+}
+
+fn decode_histogram(r: &mut Reader<'_>) -> Result<HistogramState, CheckpointError> {
+    let count = r.u64()?;
+    let rejected = r.u64()?;
+    let sum = r.f64()?;
+    let min = r.f64()?;
+    let max = r.f64()?;
+    let capacity = r.u64()? as usize;
+    let rng_state = r.u64()?;
+    let len = r.u64()? as usize;
+    if len > capacity || capacity > MAX_RESERVOIR {
+        return Err(CheckpointError::Malformed(format!(
+            "telemetry histogram reservoir length {len} exceeds capacity {capacity}"
+        )));
+    }
+    Ok(HistogramState {
+        count,
+        rejected,
+        sum,
+        min,
+        max,
+        reservoir: r.f64s(len)?,
+        capacity,
+        rng_state,
+    })
 }
 
 #[cfg(test)]
@@ -427,7 +396,7 @@ mod tests {
         t.encode(&mut bytes);
         let mut r = Reader::new(&bytes);
         let back = OptionTransition::decode(&mut r).unwrap();
-        r.finish().unwrap();
+        r.finish("transition").unwrap();
         assert_eq!(back.obs, t.obs);
         assert_eq!(back.option, t.option);
         assert_eq!(back.other_options, t.other_options);
@@ -453,5 +422,125 @@ mod tests {
         hostile.extend_from_slice(&(1u64 << 60).to_le_bytes());
         let r: Result<ReplayBuffer<Transition<usize>>, _> = decode_replay(&hostile);
         assert!(r.is_err());
+    }
+
+    /// One fixed telemetry state covering every field: two counters, a
+    /// span histogram, a value histogram at capacity, and an empty one
+    /// (infinite extrema, no reservoir).
+    fn fixed_registry_state() -> RegistryState {
+        let hist = |count: u64, sum: f64, reservoir: Vec<f64>| HistogramState {
+            count,
+            rejected: 1,
+            sum,
+            min: -0.5,
+            max: 2.25,
+            reservoir,
+            capacity: 4,
+            rng_state: 0x9e37_79b9_7f4a_7c15,
+        };
+        RegistryState {
+            counters: [
+                ("env_steps".to_string(), 41),
+                ("grad_updates".to_string(), 7),
+            ]
+            .into(),
+            spans: [(
+                "rollout/env_step".to_string(),
+                hist(3, 1.75, vec![-0.5, 0.0, 2.25]),
+            )]
+            .into(),
+            values: [
+                (
+                    "reward".to_string(),
+                    hist(5, 4.0, vec![1.0, -0.5, 2.25, 1.25]),
+                ),
+                (
+                    "empty".to_string(),
+                    HistogramState {
+                        count: 0,
+                        rejected: 0,
+                        sum: 0.0,
+                        min: f64::INFINITY,
+                        max: f64::NEG_INFINITY,
+                        reservoir: Vec::new(),
+                        capacity: 1024,
+                        rng_state: 1,
+                    },
+                ),
+            ]
+            .into(),
+        }
+    }
+
+    #[test]
+    fn registry_state_bytes_are_pinned() {
+        // Trainer checkpoints carry this encoding in their `telemetry`
+        // section; the length and FNV-1a hash pin its layout.
+        const PINNED_LEN: usize = 344;
+        const PINNED_FNV1A: u64 = 0x0c42_feac_1b1b_5b33;
+        let bytes = encode_registry(&fixed_registry_state());
+        let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(
+            (bytes.len(), fnv1a),
+            (PINNED_LEN, PINNED_FNV1A),
+            "telemetry state bytes changed: (len, FNV-1a) = ({}, {fnv1a:#018x})",
+            bytes.len()
+        );
+        assert_eq!(decode_registry(&bytes).unwrap(), fixed_registry_state());
+    }
+
+    #[test]
+    fn registry_state_roundtrip_restores_bit_identically() {
+        use hero_telemetry::{Registry, TelemetryConfig};
+        use std::time::Duration;
+
+        let a = Registry::new(TelemetryConfig::default());
+        a.counter_add("env_steps", 41);
+        a.record_span("rollout".into(), Duration::from_micros(120));
+        for i in 0..200 {
+            a.observe("reward", (i as f64).cos());
+        }
+        let blob = encode_registry(&a.export_state());
+        let state = decode_registry(&blob).unwrap();
+        assert_eq!(state, a.export_state());
+        assert_eq!(encode_registry(&state), blob);
+
+        let b = Registry::new(TelemetryConfig::default());
+        b.restore_state(&state).unwrap();
+        // Continue both identically; stats must stay bit-identical.
+        for r in [&a, &b] {
+            r.counter_add("env_steps", 1);
+            for i in 200..400 {
+                r.observe("reward", (i as f64).cos());
+            }
+        }
+        assert_eq!(a.export_state(), b.export_state());
+        assert_eq!(a.snapshot().values, b.snapshot().values);
+    }
+
+    #[test]
+    fn corrupt_registry_state_fails_cleanly() {
+        let blob = encode_registry(&fixed_registry_state());
+        for cut in 0..blob.len() {
+            assert!(
+                decode_registry(&blob[..cut]).is_err(),
+                "cut at {cut} must fail"
+            );
+        }
+        let mut trailing = blob.clone();
+        trailing.push(0);
+        assert!(matches!(
+            decode_registry(&trailing),
+            Err(CheckpointError::Malformed(_))
+        ));
+        // A reservoir longer than its histogram's capacity is refused.
+        let mut state = fixed_registry_state();
+        state.values.get_mut("reward").unwrap().capacity = 2;
+        assert!(matches!(
+            decode_registry(&encode_registry(&state)),
+            Err(CheckpointError::Malformed(_))
+        ));
     }
 }

@@ -3,16 +3,16 @@
 //! Connection threads enqueue one [`Pending`] per `POST /act` request
 //! onto an unbounded channel. A single dispatcher thread drains it in
 //! waves: the first request opens a batch, and the batch closes when it
-//! reaches `max_batch` rows or when `deadline` elapses since it opened —
-//! whichever comes first. Each wave snapshots the current policy `Arc`
-//! once (so a hot-reload mid-wave affects the *next* wave, never a
-//! half-computed one), groups rows by agent, and runs ONE inference-only
-//! batched forward per agent through a [`TensorPool`] arena that stays
-//! warm across waves. Results fan back out over per-request reply
-//! channels.
+//! reaches `max_batch` rows or when [`BATCH_DEADLINE`] elapses since it
+//! opened — whichever comes first. Each wave snapshots the current
+//! policy `Arc` once (so a hot-reload mid-wave affects the *next* wave,
+//! never a half-computed one), groups rows by agent, and runs ONE
+//! inference-only batched forward per agent through a [`TensorPool`]
+//! arena that stays warm across waves. Results fan back out over
+//! per-request reply channels.
 //!
 //! The deadline is a latency bound on coalescing, not on inference: an
-//! idle server answers a lone request after at most `deadline` of
+//! idle server answers a lone request after at most the deadline of
 //! waiting, while a saturated server fills batches instantly and the
 //! deadline never fires. `max_batch = 1` degenerates to request-at-a-
 //! time dispatch — the baseline the serving benchmark compares against.
@@ -29,23 +29,8 @@ use parking_lot::RwLock;
 
 use crate::policy::ServePolicy;
 
-/// Dispatcher tuning: how long and how wide a batch may grow.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchOptions {
-    /// Maximum rows coalesced into one forward pass (≥ 1).
-    pub max_batch: usize,
-    /// Longest a batch waits for more rows after its first arrival.
-    pub deadline: Duration,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            max_batch: 32,
-            deadline: Duration::from_micros(2000),
-        }
-    }
-}
+/// Longest a batch waits for more rows after its first arrival.
+pub const BATCH_DEADLINE: Duration = Duration::from_micros(2000);
 
 /// What the dispatcher answers a request with.
 #[derive(Debug, Clone)]
@@ -111,17 +96,15 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Spawns the dispatcher against a hot-swappable policy slot.
+    /// Spawns the dispatcher against a hot-swappable policy slot,
+    /// coalescing at most `max_batch` rows (at least 1) per forward pass.
     pub fn start(
         policy: Arc<RwLock<Arc<ServePolicy>>>,
-        opts: BatchOptions,
+        max_batch: usize,
         stats: Arc<ServeStats>,
     ) -> Batcher {
         let (tx, rx) = channel::unbounded::<Pending>();
-        let opts = BatchOptions {
-            max_batch: opts.max_batch.max(1),
-            ..opts
-        };
+        let max_batch = max_batch.max(1);
         let handle = std::thread::Builder::new()
             .name("hero-serve-batch".into())
             .spawn(move || {
@@ -133,9 +116,9 @@ impl Batcher {
                         Err(_) => return,
                     };
                     let mut batch = vec![first];
-                    if opts.max_batch > 1 {
-                        let deadline = Instant::now() + opts.deadline;
-                        while batch.len() < opts.max_batch {
+                    if max_batch > 1 {
+                        let deadline = Instant::now() + BATCH_DEADLINE;
+                        while batch.len() < max_batch {
                             let now = Instant::now();
                             if now >= deadline {
                                 break;

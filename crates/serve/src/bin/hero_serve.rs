@@ -5,10 +5,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 use hero_serve::policy::check_synthetic;
-use hero_serve::{start, BatchOptions, ServeConfig};
+use hero_serve::{start, ServeConfig};
 use hero_telemetry::registry::TelemetryConfig;
 
 const USAGE: &str = "\
@@ -17,17 +16,16 @@ hero-serve: micro-batching HERO policy-serving daemon
 usage: hero-serve [flags]
 
   --checkpoint-dir DIR     serve the newest valid v2 checkpoint in DIR
-  --synthetic OxHxA        serve a random policy (obs x hidden x agents)
-                           instead of a checkpoint, e.g. 128x256x2
+  --synthetic OxHxA        serve a random policy (obs x hidden x agents,
+                           weights from seed 0) instead of a
+                           checkpoint, e.g. 128x256x2
   --addr HOST:PORT         bind address (default 127.0.0.1:9600; port 0
                            binds an ephemeral port)
   --max-batch N            rows coalesced per forward pass (default 32;
-                           1 = request-at-a-time baseline)
-  --batch-deadline-us N    longest a batch waits for more rows (default
-                           2000)
+                           1 = request-at-a-time baseline); a batch
+                           waits at most 2 ms for more rows
   --out DIR                write the serve_addr discovery file into DIR,
                            and telemetry.jsonl on exit
-  --seed N                 synthetic policy weight seed (default 0)
 
 One of --checkpoint-dir / --synthetic is required.
 ";
@@ -37,9 +35,7 @@ struct Args {
     checkpoint_dir: Option<PathBuf>,
     synthetic: Option<(usize, usize, usize)>,
     max_batch: usize,
-    batch_deadline_us: u64,
     out: Option<PathBuf>,
-    seed: u64,
 }
 
 fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
@@ -48,9 +44,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
         checkpoint_dir: None,
         synthetic: None,
         max_batch: 32,
-        batch_deadline_us: 2000,
         out: None,
-        seed: 0,
     };
     while let Some(flag) = it.next() {
         if flag == "--help" || flag == "-h" {
@@ -84,17 +78,7 @@ fn parse_args(mut it: impl Iterator<Item = String>) -> Result<Args, String> {
                     .filter(|&n: &usize| n >= 1)
                     .ok_or_else(|| format!("--max-batch {value}: expected an integer >= 1"))?;
             }
-            "--batch-deadline-us" => {
-                out.batch_deadline_us = value
-                    .parse()
-                    .map_err(|_| format!("--batch-deadline-us {value}: expected microseconds"))?;
-            }
             "--out" => out.out = Some(PathBuf::from(value)),
-            "--seed" => {
-                out.seed = value
-                    .parse()
-                    .map_err(|_| format!("--seed {value}: expected an integer"))?;
-            }
             other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
         }
     }
@@ -129,11 +113,7 @@ fn main() -> ExitCode {
         addr: args.addr,
         checkpoint_dir: args.checkpoint_dir,
         synthetic: args.synthetic,
-        synthetic_seed: args.seed,
-        batch: BatchOptions {
-            max_batch: args.max_batch,
-            deadline: Duration::from_micros(args.batch_deadline_us),
-        },
+        max_batch: args.max_batch,
         registry: Some(Arc::clone(guard.registry())),
     };
     let server = match start(cfg) {
@@ -157,7 +137,7 @@ fn main() -> ExitCode {
         "hero-serve listening on http://{addr} (checkpoint {}, max-batch {}, deadline {}us, {} kernels)",
         server.checkpoint(),
         args.max_batch,
-        args.batch_deadline_us,
+        hero_serve::batch::BATCH_DEADLINE.as_micros(),
         hero_autograd::kernel_mode()
     );
     server.wait();
@@ -188,6 +168,20 @@ mod tests {
         ] {
             let err = synthetic(spec).expect_err("an oversized policy must be refused");
             assert!(err.contains("synthetic policy"), "{spec}: {err}");
+        }
+    }
+
+    #[test]
+    fn retired_flags_are_unknown() {
+        for flags in [["--batch-deadline-us", "500"], ["--seed", "3"]] {
+            let args = ["--synthetic", "8x16x2"].into_iter().chain(flags);
+            let err = parse_args(args.map(str::to_string))
+                .err()
+                .expect("a retired flag must be refused");
+            assert!(
+                err.starts_with(&format!("unknown flag {}", flags[0])),
+                "{err}"
+            );
         }
     }
 

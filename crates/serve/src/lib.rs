@@ -13,7 +13,7 @@
 //!   error.
 //! * [`batch`] — the micro-batching dispatcher: concurrent requests
 //!   queue onto one channel; a dispatcher thread coalesces them up to
-//!   `--max-batch` or a `--batch-deadline-us` deadline and runs ONE
+//!   `--max-batch` rows or a fixed 2 ms deadline and runs ONE
 //!   inference-only batched forward per agent policy, reusing a
 //!   [`hero_autograd::TensorPool`] arena across batches.
 //! * [`server`] — the HTTP surface (`POST /act`, `POST /reload`,
@@ -27,6 +27,6 @@ pub mod batch;
 pub mod policy;
 pub mod server;
 
-pub use batch::{BatchOptions, Batcher, ServeStats};
+pub use batch::{Batcher, ServeStats};
 pub use policy::ServePolicy;
 pub use server::{start, HeroServer, ServeConfig, ServeError};

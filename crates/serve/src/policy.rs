@@ -12,11 +12,11 @@
 
 use std::path::Path;
 
-use hero_autograd::serialize::{self, decode_param_table};
+use hero_autograd::serialize::{self, decode_param_table, Reader};
 use hero_autograd::{CheckpointError, TensorPool};
 use hero_core::checkpoint::load_latest;
 use hero_core::{HeroAgent, HeroConfig};
-use hero_rl::snapshot::{Codec, Reader};
+use hero_rl::snapshot::Codec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -81,10 +81,7 @@ impl ServePolicy {
         serialize::check_kernel_mode(sections)?;
 
         let last_blob = serialize::require_section(sections, "team/last_options")?;
-        let mut r = Reader::new(last_blob);
-        let last_options: Vec<usize> = Codec::decode(&mut r).map_err(|e| {
-            CheckpointError::Malformed(format!("team/last_options: {e}"))
-        })?;
+        let last_options: Vec<usize> = Codec::decode(&mut Reader::new(last_blob))?;
         let n_agents = last_options.len();
         if n_agents == 0 {
             return Err(CheckpointError::Malformed(

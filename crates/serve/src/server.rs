@@ -31,7 +31,7 @@ use hero_telemetry::http::{serve_http, Handler, HttpServer, Request, Response};
 use hero_telemetry::registry::Registry;
 use parking_lot::RwLock;
 
-use crate::batch::{BatchOptions, Batcher, Pending, ServeStats};
+use crate::batch::{Batcher, Pending, ServeStats};
 use crate::policy::{check_synthetic, ServePolicy, MAX_SYNTHETIC_WEIGHTS};
 
 /// How a server failed to start or reload.
@@ -90,13 +90,13 @@ pub struct ServeConfig {
     pub addr: String,
     /// Checkpoint registry directory (`None` only with `synthetic`).
     pub checkpoint_dir: Option<PathBuf>,
-    /// Serve a randomly initialised `(obs_dim, hidden, n_agents)` policy
-    /// instead of a checkpoint (benchmarks).
+    /// Serve a randomly initialised `(obs_dim, hidden, n_agents)` policy,
+    /// its weights drawn from seed 0, instead of a checkpoint
+    /// (benchmarks).
     pub synthetic: Option<(usize, usize, usize)>,
-    /// Seed for the synthetic policy's weights.
-    pub synthetic_seed: u64,
-    /// Micro-batching bounds.
-    pub batch: BatchOptions,
+    /// Maximum rows coalesced into one forward pass (at least 1; 1 is
+    /// request-at-a-time dispatch).
+    pub max_batch: usize,
     /// Telemetry registry to expose on `/metrics` + `/snapshot`.
     pub registry: Option<Arc<Registry>>,
 }
@@ -107,8 +107,7 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             checkpoint_dir: None,
             synthetic: None,
-            synthetic_seed: 0,
-            batch: BatchOptions::default(),
+            max_batch: 32,
             registry: None,
         }
     }
@@ -142,7 +141,7 @@ pub fn start(cfg: ServeConfig) -> Result<HeroServer, ServeError> {
     let initial = match (cfg.synthetic, &cfg.checkpoint_dir) {
         (Some((obs, hidden, agents)), _) => {
             check_synthetic(obs, hidden, agents)?;
-            ServePolicy::synthetic(obs, hidden, agents, cfg.synthetic_seed)
+            ServePolicy::synthetic(obs, hidden, agents, 0)
         }
         (None, Some(dir)) => ServePolicy::load_newest(dir)?
             .ok_or_else(|| ServeError::NoCheckpoint(dir.clone()))?
@@ -151,7 +150,7 @@ pub fn start(cfg: ServeConfig) -> Result<HeroServer, ServeError> {
     };
     let policy = Arc::new(RwLock::new(Arc::new(initial)));
     let stats = Arc::new(ServeStats::default());
-    let batcher = Batcher::start(Arc::clone(&policy), cfg.batch, Arc::clone(&stats));
+    let batcher = Batcher::start(Arc::clone(&policy), cfg.max_batch, Arc::clone(&stats));
     let shutdown = Arc::new(AtomicBool::new(false));
 
     let route_policy = Arc::clone(&policy);
@@ -160,7 +159,7 @@ pub fn start(cfg: ServeConfig) -> Result<HeroServer, ServeError> {
     let route_dir = cfg.checkpoint_dir.clone();
     let route_registry = cfg.registry.clone();
     let submit = batcher.sender();
-    let max_batch = cfg.batch.max_batch.max(1);
+    let max_batch = cfg.max_batch.max(1);
     // Recorded once, so `hero-inspect doctor` can judge the occupancy
     // histogram against the bound it was allowed to reach.
     hero_rl::telemetry::gauge_set("live/serve/max_batch", max_batch as f64);

@@ -12,7 +12,7 @@ use hero_autograd::serialize::{save_sections, KERNEL_MODE_SECTION};
 use hero_autograd::TensorPool;
 use hero_core::{HeroAgent, HeroConfig};
 use hero_rl::snapshot::Codec;
-use hero_serve::{start, BatchOptions, ServeConfig, ServePolicy};
+use hero_serve::{start, ServeConfig, ServePolicy};
 use hero_telemetry::emit::{parse_json_object, JsonValue};
 use hero_telemetry::http::http_request;
 use rand::rngs::StdRng;
@@ -69,10 +69,7 @@ fn temp_registry(tag: &str) -> std::path::PathBuf {
 fn serve_registry(dir: &Path) -> hero_serve::HeroServer {
     start(ServeConfig {
         checkpoint_dir: Some(dir.to_path_buf()),
-        batch: BatchOptions {
-            max_batch: 8,
-            deadline: Duration::from_micros(500),
-        },
+        max_batch: 8,
         ..ServeConfig::default()
     })
     .expect("server starts from registry")

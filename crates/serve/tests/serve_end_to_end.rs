@@ -4,35 +4,30 @@
 //! their *own* row back.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use hero_autograd::TensorPool;
-use hero_serve::{start, BatchOptions, ServeConfig, ServePolicy};
+use hero_serve::{start, ServeConfig, ServePolicy};
 use hero_telemetry::emit::{parse_json_object, JsonValue};
 use hero_telemetry::http::http_request;
 
 const OBS: usize = 6;
 const HIDDEN: usize = 8;
 const AGENTS: usize = 2;
-const SEED: u64 = 42;
 
 fn synthetic_server(max_batch: usize) -> hero_serve::HeroServer {
     start(ServeConfig {
         synthetic: Some((OBS, HIDDEN, AGENTS)),
-        synthetic_seed: SEED,
-        batch: BatchOptions {
-            max_batch,
-            deadline: Duration::from_micros(500),
-        },
+        max_batch,
         ..ServeConfig::default()
     })
     .expect("synthetic server starts")
 }
 
 /// The same policy the server built, constructed locally: synthetic
-/// construction is deterministic in (dims, seed).
+/// construction is deterministic in (dims, seed), and the daemon's
+/// synthetic seed is 0.
 fn local_policy() -> ServePolicy {
-    ServePolicy::synthetic(OBS, HIDDEN, AGENTS, SEED)
+    ServePolicy::synthetic(OBS, HIDDEN, AGENTS, 0)
 }
 
 fn obs_row(salt: u64) -> Vec<f32> {

@@ -212,16 +212,25 @@ fn handle_connection(mut stream: TcpStream, handler: &Handler) -> io::Result<()>
     let path = path.split('?').next().unwrap_or(path).to_string();
 
     // Body: everything after the head terminator, up to Content-Length.
-    let content_length = head
-        .lines()
-        .skip(1)
-        .find_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            name.trim()
-                .eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse::<usize>().ok())?
-        })
-        .unwrap_or(0);
+    // The value must be a decimal integer; one that is not (`abc`, `-1`,
+    // empty) is refused rather than read as 0, which would drop the body.
+    let declared = head.lines().skip(1).find_map(|line| {
+        let (name, value) = line.split_once(':')?;
+        name.trim()
+            .eq_ignore_ascii_case("content-length")
+            .then(|| value.trim())
+    });
+    let content_length = match declared {
+        None => 0,
+        Some(v) if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) => {
+            return respond(
+                &mut stream,
+                &Response::with_status(400, "bad content-length\n"),
+            );
+        }
+        // Digits that overflow `usize` are over the cap too.
+        Some(v) => v.parse::<usize>().unwrap_or(usize::MAX),
+    };
     if content_length > MAX_BODY {
         return respond(&mut stream, &Response::with_status(413, "request body too large\n"));
     }
@@ -348,6 +357,31 @@ mod tests {
             http_request("POST", &format!("http://{base}/echo"), "round trip").expect("post");
         assert_eq!(status, 200);
         assert_eq!(body, "round trip");
+    }
+
+    /// Sends `head` plus a 3-byte body over a raw socket and returns the
+    /// response's status code.
+    fn raw_status(addr: std::net::SocketAddr, head: &str) -> u16 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(format!("{head}\r\n\r\nabc").as_bytes()).expect("send");
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).expect("read reply");
+        reply
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("no status in {reply:?}"))
+    }
+
+    #[test]
+    fn unparseable_content_length_is_refused() {
+        let server = echo_server();
+        let addr = server.local_addr();
+        for (value, want) in [("abc", 400), ("-1", 400), ("99999999999999999999999", 413)] {
+            let head = format!("POST /echo HTTP/1.1\r\nContent-Length: {value}");
+            assert_eq!(raw_status(addr, &head), want, "Content-Length: {value}");
+        }
+        assert_eq!(raw_status(addr, "POST /echo HTTP/1.1\r\nContent-Length: 3"), 200);
     }
 
     #[test]

@@ -364,7 +364,8 @@ impl std::fmt::Debug for Registry {
 pub const FAULT_LOCAL_PREFIXES: [&str; 3] = ["actor/", "supervisor/", "checkpoint/"];
 
 /// Complete mutable state of a [`Registry`], captured by
-/// [`Registry::export_state`] for trainer checkpoints.
+/// [`Registry::export_state`] for trainer checkpoints (which encode it
+/// with `hero_rl::snapshot::encode_registry`).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RegistryState {
     /// Counter totals by name.
@@ -373,143 +374,6 @@ pub struct RegistryState {
     pub spans: BTreeMap<String, HistogramState>,
     /// Full value-histogram states by name.
     pub values: BTreeMap<String, HistogramState>,
-}
-
-impl RegistryState {
-    /// Serializes the state to a compact little-endian byte blob, suitable
-    /// for storage as an opaque checkpoint section.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        fn put_str(out: &mut Vec<u8>, s: &str) {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        fn put_hist(out: &mut Vec<u8>, h: &HistogramState) {
-            out.extend_from_slice(&h.count.to_le_bytes());
-            out.extend_from_slice(&h.rejected.to_le_bytes());
-            out.extend_from_slice(&h.sum.to_le_bytes());
-            out.extend_from_slice(&h.min.to_le_bytes());
-            out.extend_from_slice(&h.max.to_le_bytes());
-            out.extend_from_slice(&(h.capacity as u64).to_le_bytes());
-            out.extend_from_slice(&h.rng_state.to_le_bytes());
-            out.extend_from_slice(&(h.reservoir.len() as u64).to_le_bytes());
-            for v in &h.reservoir {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.counters.len() as u32).to_le_bytes());
-        for (name, total) in &self.counters {
-            put_str(&mut out, name);
-            out.extend_from_slice(&total.to_le_bytes());
-        }
-        for map in [&self.spans, &self.values] {
-            out.extend_from_slice(&(map.len() as u32).to_le_bytes());
-            for (name, h) in map {
-                put_str(&mut out, name);
-                put_hist(&mut out, h);
-            }
-        }
-        out
-    }
-
-    /// Parses a blob produced by [`RegistryState::to_bytes`]. Every length
-    /// field is validated against the bytes present before any allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on any truncation or structural inconsistency.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        struct R<'a> {
-            buf: &'a [u8],
-            pos: usize,
-        }
-        impl<'a> R<'a> {
-            fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-                if n > self.buf.len() - self.pos {
-                    return Err("telemetry state blob is truncated".to_string());
-                }
-                let out = &self.buf[self.pos..self.pos + n];
-                self.pos += n;
-                Ok(out)
-            }
-            fn u32(&mut self) -> Result<u32, String> {
-                Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-            }
-            fn u64(&mut self) -> Result<u64, String> {
-                Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-            }
-            fn f64(&mut self) -> Result<f64, String> {
-                Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-            }
-            fn string(&mut self) -> Result<String, String> {
-                let len = self.u32()? as usize;
-                if len > 1 << 16 {
-                    return Err(format!("telemetry state name length {len} is absurd"));
-                }
-                String::from_utf8(self.take(len)?.to_vec())
-                    .map_err(|_| "telemetry state name is not utf-8".to_string())
-            }
-            fn hist(&mut self) -> Result<HistogramState, String> {
-                let count = self.u64()?;
-                let rejected = self.u64()?;
-                let sum = self.f64()?;
-                let min = self.f64()?;
-                let max = self.f64()?;
-                let capacity = self.u64()? as usize;
-                let rng_state = self.u64()?;
-                let len = self.u64()? as usize;
-                if len > capacity || capacity > 1 << 24 {
-                    return Err(format!(
-                        "telemetry histogram reservoir length {len} exceeds capacity {capacity}"
-                    ));
-                }
-                let raw = self.take(len.checked_mul(8).ok_or("reservoir length overflows")?)?;
-                let mut reservoir = Vec::with_capacity(len);
-                for chunk in raw.chunks_exact(8) {
-                    reservoir.push(f64::from_le_bytes(chunk.try_into().unwrap()));
-                }
-                Ok(HistogramState {
-                    count,
-                    rejected,
-                    sum,
-                    min,
-                    max,
-                    reservoir,
-                    capacity,
-                    rng_state,
-                })
-            }
-        }
-        let mut r = R { buf: bytes, pos: 0 };
-        let n_counters = r.u32()? as usize;
-        let mut counters = BTreeMap::new();
-        for _ in 0..n_counters {
-            let name = r.string()?;
-            let total = r.u64()?;
-            counters.insert(name, total);
-        }
-        let mut maps = [BTreeMap::new(), BTreeMap::new()];
-        for map in &mut maps {
-            let n = r.u32()? as usize;
-            for _ in 0..n {
-                let name = r.string()?;
-                let h = r.hist()?;
-                map.insert(name, h);
-            }
-        }
-        if r.pos != bytes.len() {
-            return Err(format!(
-                "{} trailing bytes after telemetry state",
-                bytes.len() - r.pos
-            ));
-        }
-        let [spans, values] = maps;
-        Ok(Self {
-            counters,
-            spans,
-            values,
-        })
-    }
 }
 
 /// A counter's snapshot: total and derived throughput.
@@ -673,49 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn state_roundtrip_is_bit_identical() {
-        let a = Registry::new(TelemetryConfig::default());
-        a.counter_add("env_steps", 41);
-        a.record_span("rollout".into(), Duration::from_micros(120));
-        for i in 0..200 {
-            a.observe("reward", (i as f64).cos());
-        }
-        let blob = a.export_state().to_bytes();
-        let state = RegistryState::from_bytes(&blob).unwrap();
-        assert_eq!(state, a.export_state());
-
-        let b = Registry::new(TelemetryConfig::default());
-        b.restore_state(&state).unwrap();
-        // Continue both identically; stats must stay bit-identical.
-        for r in [&a, &b] {
-            r.counter_add("env_steps", 1);
-            for i in 200..400 {
-                r.observe("reward", (i as f64).cos());
-            }
-        }
-        assert_eq!(a.export_state(), b.export_state());
-        assert_eq!(
-            a.snapshot().counter_totals(),
-            b.snapshot().counter_totals()
-        );
-        assert_eq!(a.snapshot().values, b.snapshot().values);
-    }
-
-    #[test]
-    fn state_from_truncated_bytes_fails_cleanly() {
-        let r = Registry::new(TelemetryConfig::default());
-        r.counter_add("c", 7);
-        r.observe("v", 1.0);
-        let blob = r.export_state().to_bytes();
-        for cut in 0..blob.len() {
-            assert!(
-                RegistryState::from_bytes(&blob[..cut]).is_err(),
-                "cut at {cut} must fail"
-            );
-        }
-    }
-
-    #[test]
     fn gauges_overwrite_and_live_histograms_accumulate() {
         let r = Registry::new(TelemetryConfig::default());
         r.gauge_set("live/queue/actor0", 3.0);
@@ -744,7 +565,6 @@ mod tests {
             clean,
             "gauges/live/flight/faulted are process state, not training state"
         );
-        assert_eq!(clean.to_bytes(), r.export_state().to_bytes());
     }
 
     #[test]
@@ -766,7 +586,6 @@ mod tests {
             clean,
             "fault-recovery bookkeeping is process state, not training state"
         );
-        assert_eq!(clean.to_bytes(), r.export_state().to_bytes());
         // But it stays visible to snapshots (telemetry dumps, doctor).
         assert_eq!(r.snapshot().counter_totals()["actor/respawned"], 2);
     }

@@ -6,6 +6,11 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# Every lane works in a directory under one work directory, removed on
+# exit whether CI passes or fails, so a run leaves nothing in /tmp.
+WORK=$(mktemp -d /tmp/hero-ci.XXXXXX)
+trap 'rm -rf "$WORK"' EXIT
+
 # Fails unless counter NAME in DIR/telemetry.jsonl satisfies
 # `test TOTAL OP WANT` (an absent counter reads as 0); WHY explains the
 # expectation. Prints every counter of the run on failure.
@@ -45,7 +50,7 @@ echo "=== batched-rollout differential equivalence"
 cargo test -q --release -p hero-sim --test batch_equivalence
 
 echo "=== telemetry smoke"
-scripts/smoke_telemetry.sh
+scripts/smoke_telemetry.sh "$WORK/smoke"
 
 echo "=== learning-dynamics golden diff"
 # Rerun the seeded diagnostics experiment into a FRESH output directory
@@ -54,7 +59,8 @@ echo "=== learning-dynamics golden diff"
 # Only seed-deterministic statistics are compared; see DESIGN.md.
 cargo build --release -q -p hero-bench --bin fig10_opponent_loss \
     -p hero-inspect --bin hero-inspect
-DIAG=$(mktemp -d /tmp/hero-diag.XXXXXX)
+DIAG=$WORK/diag
+mkdir "$DIAG"
 ./target/release/fig10_opponent_loss \
     --episodes 6 --eval-episodes 1 --skill-episodes 2 --batch-size 8 \
     --update-every 1 --seed 7 --out "$DIAG/exp" \
@@ -89,7 +95,8 @@ echo "=== live metrics exporter smoke"
 # threads whose sac.* diagnostic values interleave into shared
 # histograms, so fresh-bootstrap value sums are scheduling-sensitive at
 # the last ULP and never zero-tol comparable across runs.
-LIVE=$(mktemp -d /tmp/hero-live.XXXXXX)
+LIVE=$WORK/live
+mkdir "$LIVE"
 LIVE_FLAGS=(--episodes 120 --eval-episodes 1 --skill-episodes 2 --batch-size 8
             --update-every 1 --seed 7 --actors 2)
 ./target/release/fig10_opponent_loss \
@@ -149,7 +156,6 @@ wait "$live_pid"
 # hero-top renders a frame from the finished telemetry directory.
 ./target/release/hero-inspect watch "$LIVE/tel" --frames 1 | grep -q "hero-top" \
     || { echo "hero-inspect watch failed to render from $LIVE/tel"; exit 1; }
-rm -rf "$LIVE"
 
 echo "=== kill-and-resume smoke"
 # A seeded run crashed mid-training (injected kill, exit 137) and resumed
@@ -157,7 +163,8 @@ echo "=== kill-and-resume smoke"
 # zero-tolerance telemetry diff (checkpoint/ bookkeeping excluded) and
 # byte-identical figure CSVs. Then corrupt the newest checkpoint and prove
 # resume falls back to the previous good one.
-CRASH=$(mktemp -d /tmp/hero-crash.XXXXXX)
+CRASH=$WORK/crash
+mkdir "$CRASH"
 RUN_FLAGS=(--episodes 6 --eval-episodes 1 --skill-episodes 2 --batch-size 8
            --update-every 1 --seed 7 --checkpoint-every 2)
 # Reuse one skill bootstrap for every run: the library is trained once,
@@ -199,7 +206,6 @@ truncate -s 64 "$newest"
     --out "$CRASH/shared" --telemetry-out "$CRASH/tel-c" \
     --checkpoint-dir "$CRASH/ckpt-b" --resume >/dev/null
 expect_counter "$CRASH/tel-c" checkpoint/fallback -eq 1 "after corrupting the newest checkpoint"
-rm -rf "$CRASH"
 
 echo "=== chaos soak (actor supervision)"
 # The self-healing ladder under a combined fault schedule on a 3-actor
@@ -211,7 +217,8 @@ echo "=== chaos soak (actor supervision)"
 # its fault-free twin: zero-tolerance telemetry diff (only the fault-local
 # actor/, supervisor/, checkpoint/ namespaces excluded), byte-identical
 # figure CSVs, and a byte-identical final checkpoint.
-CHAOS=$(mktemp -d /tmp/hero-chaos.XXXXXX)
+CHAOS=$WORK/chaos
+mkdir "$CHAOS"
 CHAOS_PLAN='panic@actor:1,stall@actor:2,slow@actor:0:2,disk-full@save:1'
 CHAOS_FLAGS=(--episodes 6 --eval-episodes 1 --skill-episodes 2 --batch-size 8
              --update-every 1 --seed 7 --actors 3 --checkpoint-every 2
@@ -272,7 +279,6 @@ test "$(basename "$newest_clean")" = "$(basename "$newest_chaos")" \
     || { echo "final checkpoint index differs: $newest_clean vs $newest_chaos"; exit 1; }
 cmp "$newest_clean" "$newest_chaos" \
     || { echo "chaos-run final checkpoint differs from the fault-free twin"; exit 1; }
-rm -rf "$CHAOS"
 
 echo "=== serving lane (hero-serve + hero-load)"
 # End-to-end policy serving against a real trainer checkpoint: a short
@@ -280,7 +286,8 @@ echo "=== serving lane (hero-serve + hero-load)"
 # an ephemeral port, a hero-load burst must complete every request, one
 # hot-reload must succeed under the same registry, and shutdown must be
 # clean, leaving the daemon's telemetry.jsonl for hero-inspect doctor.
-SERVE=$(mktemp -d /tmp/hero-serve.XXXXXX)
+SERVE=$WORK/serve
+mkdir "$SERVE"
 cargo build --release -q -p hero-serve --bins
 ./target/release/fig10_opponent_loss \
     --episodes 2 --eval-episodes 1 --skill-episodes 2 --batch-size 8 \
@@ -318,14 +325,14 @@ grep -q '"name":"live/serve/max_batch","value":32}' "$SERVE/daemon/telemetry.jso
     || { echo "daemon telemetry lacks its max_batch gauge"; \
          cat "$SERVE/daemon/telemetry.jsonl"; exit 1; }
 ./target/release/hero-inspect doctor "$SERVE/daemon"
-rm -rf "$SERVE"
 
 echo "=== repository benchmark"
 # benchmark/ is the one performance measurement (see benchmark/README.md).
 # Its build and helper tests ran right after tier-1; here one quick pass:
 # run.sh exits nonzero when any built-in check fails (state digests,
 # bitwise logits, reloads, stage sums).
-BENCH=$(mktemp -d /tmp/hero-bench.XXXXXX)
+BENCH=$WORK/bench
+mkdir "$BENCH"
 bash benchmark/run.sh --quick --out "$BENCH/results.json"
 # Pin the seed-1 state digests: the reps only compare with each other, so
 # without this a change that silently alters training numerics at Table I
@@ -340,6 +347,5 @@ for name, digest in want.items():
     assert got == digest, f"{name}: state_digest {got}, pinned {digest}"
 print("  seed-1 state digests match the pinned values")
 EOF
-rm -rf "$BENCH"
 
 echo "=== CI passed"
