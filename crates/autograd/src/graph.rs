@@ -332,10 +332,11 @@ impl Graph {
         assert_eq!(vb.rank(), 1, "add_bias bias must be rank-1");
         let (m, n) = (va.shape()[0], va.shape()[1]);
         assert_eq!(vb.len(), n, "add_bias width mismatch");
+        // Row-wise `extend` over zipped slices vectorizes; the sum per
+        // element is the `x + b` that `Mlp::infer_in` computes.
         for i in 0..m {
-            for j in 0..n {
-                data.push(va.data()[i * n + j] + vb.data()[j]);
-            }
+            let row = &va.data()[i * n..(i + 1) * n];
+            data.extend(row.iter().zip(vb.data()).map(|(x, b)| x + b));
         }
         let value = Tensor::from_vec(vec![m, n], data);
         self.push(value, Op::AddBias(a, bias))
@@ -990,10 +991,10 @@ impl Graph {
                     let a = *a;
                     {
                         let va = &self.nodes[a].value;
+                        // A select, not a branch, so the loop vectorizes.
+                        // `0.0` and `-0.0` zero the gradient; NaN keeps it.
                         for (gv, &x) in g.data_mut().iter_mut().zip(va.data()) {
-                            if x <= 0.0 {
-                                *gv = 0.0;
-                            }
+                            *gv = if x <= 0.0 { 0.0 } else { *gv };
                         }
                     }
                     accumulate(&mut grads, &mut pool, &requires, a, g);
@@ -1615,5 +1616,55 @@ mod tests {
         let mut g = Graph::new();
         let x = g.input(Tensor::from_vec(vec![1, 2], vec![1.0, 2.0]));
         g.backward(x);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The row-wise bias add equals the per-element `x + b` it replaced,
+    /// bit for bit, on signed zeros and NaN.
+    #[test]
+    fn add_bias_matches_the_per_element_sum_bitwise() {
+        const NAN: f32 = f32::NAN;
+        let x = [
+            0.0, -0.0, 0.0, NAN, -0.0, 0.0, -0.0, -0.0, NAN, -0.0, 1.0, -1.0,
+        ];
+        let bias = [-0.0, 0.0, NAN, 1.0];
+        let mut g = Graph::new();
+        let xn = g.input(Tensor::from_vec(vec![3, 4], x.to_vec()));
+        let bn = g.input(Tensor::from_slice(&bias));
+        let y = g.add_bias(xn, bn);
+        let want: Vec<u32> = (0..12).map(|i| (x[i] + bias[i % 4]).to_bits()).collect();
+        assert_eq!(bits(g.value(y)), want);
+    }
+
+    /// The select in the ReLU backward keeps the gradients the branch it
+    /// replaced kept: `0.0` and `-0.0` inputs zero theirs, NaN keeps its
+    /// own.
+    #[test]
+    fn relu_backward_matches_the_branch_bitwise() {
+        const INF: f32 = f32::INFINITY;
+        let x = [0.0, -0.0, f32::NAN, 1.5, -2.0, INF, -INF, 1e-40];
+        let upstream = [0.5, -3.0, 2.0, -0.25, 7.0, -1.0, 4.0, -8.0];
+        let p = Parameter::new("x", Tensor::from_vec(vec![2, 4], x.to_vec()));
+        let mut g = Graph::new();
+        let xn = g.param(&p);
+        let un = g.input(Tensor::from_vec(vec![2, 4], upstream.to_vec()));
+        let y = g.relu(xn);
+        let scaled = g.mul(y, un);
+        let loss = g.sum(scaled);
+        g.backward(loss);
+        let want: Vec<u32> = x
+            .iter()
+            .zip(upstream)
+            .map(|(&x, mut gv)| {
+                if x <= 0.0 {
+                    gv = 0.0;
+                }
+                gv.to_bits()
+            })
+            .collect();
+        assert_eq!(bits(&p.grad()), want);
     }
 }

@@ -8,6 +8,7 @@
 //! [`Graph`]: crate::graph::Graph
 
 use std::fmt;
+use std::ops::Range;
 
 use rand::Rng;
 
@@ -441,6 +442,10 @@ std::thread_local! {
     /// Scratch buffer for packed panels of B, reused across calls so the
     /// kernel allocates nothing after warm-up.
     static PACK: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// Scratch buffer for the NN driver's `k × NR` panels of A (see
+    /// `define_matmul_narrow`). A second buffer, because `matmul_nt`
+    /// still borrows `PACK` while it runs the NN driver.
+    static PANEL: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Whether the AVX-512F instantiations of the register-tiled kernels are
@@ -478,19 +483,142 @@ pub fn isa_name() -> &'static str {
     }
 }
 
+/// Defines one instantiation of the narrow-column loop both drivers run
+/// for output columns `j0..n` that do not fill an `NR`-wide tile (every
+/// column when `n < NR`), over the `NR` output rows starting at `i0`.
+/// `panel[p * stride + r]` holds A's element for row `i0 + r` at inner
+/// index `p`: a packed `k × NR` panel in the NN driver, A itself in the TN
+/// driver. The loop vectorizes across those `NR` rows instead of across
+/// columns, so an output one column wide still runs at full vector width.
+/// Each element is the same ascending-`p` chain `((0 + a₀b₀) + a₁b₁) + …`
+/// the tiles compute, so it matches them bit for bit.
+///
+/// # Safety
+///
+/// The `#[target_feature]` instantiation needs a CPU with that feature.
+/// Slices are bounds-checked; nothing else is required.
+macro_rules! define_matmul_narrow {
+    ($fname:ident $(, #[$attr:meta])?) => {
+        $(#[$attr])?
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn $fname(
+            panel: &[f32],
+            stride: usize,
+            b: &[f32],
+            out: &mut [f32],
+            i0: usize,
+            k: usize,
+            n: usize,
+            j0: usize,
+        ) {
+            for j in j0..n {
+                let mut acc = [0.0f32; NR];
+                for p in 0..k {
+                    let a_p: &[f32; NR] =
+                        (&panel[p * stride..p * stride + NR]).try_into().unwrap();
+                    let b_pj = b[p * n + j];
+                    for r in 0..NR {
+                        acc[r] += a_p[r] * b_pj;
+                    }
+                }
+                for (r, v) in acc.into_iter().enumerate() {
+                    out[(i0 + r) * n + j] = v;
+                }
+            }
+        }
+    };
+}
+
+define_matmul_narrow!(matmul_narrow_portable);
+#[cfg(target_arch = "x86_64")]
+define_matmul_narrow!(matmul_narrow_avx512, #[target_feature(enable = "avx512f")]);
+
+/// The NN edge loop: `out[i][cols] += a[i][p] · b[p][cols]` over ascending
+/// `p`, row by row, for the rows no tile or panel covers. Always inlined,
+/// so it vectorizes across `cols` at its caller's lane width.
+#[inline(always)]
+fn nn_edge(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+) {
+    if cols.is_empty() {
+        return;
+    }
+    for i in rows {
+        let o_row = &mut out[i * n + cols.start..i * n + cols.end];
+        for p in 0..k {
+            let a_ip = a[i * k + p];
+            let b_row = &b[p * n + cols.start..p * n + cols.end];
+            for (o, &bv) in o_row.iter_mut().zip(b_row) {
+                *o += a_ip * bv;
+            }
+        }
+    }
+}
+
+/// The TN edge loop (`a` is `[k, m]`): [`nn_edge`] with `p` outermost, so
+/// A is read one contiguous row at a time.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tn_edge(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+) {
+    if rows.is_empty() || cols.is_empty() {
+        return;
+    }
+    for p in 0..k {
+        let b_row = &b[p * n + cols.start..p * n + cols.end];
+        for i in rows.clone() {
+            let a_ip = a[p * m + i];
+            let o_row = &mut out[i * n + cols.start..i * n + cols.end];
+            for (o, &bv) in o_row.iter_mut().zip(b_row) {
+                *o += a_ip * bv;
+            }
+        }
+    }
+}
+
 /// Defines one instantiation of the register-tiled `C = A·B` driver.
 ///
 /// The body is plain safe Rust over fixed-size `MR`×`NR` tiles; the
 /// `#[target_feature]` variant only widens the vectors the autovectorizer
 /// may use. Accumulators live in registers for the entire `p` loop (the
 /// old implementation round-tripped partial sums through memory every
-/// iteration, which capped it at store throughput). Edge rows/columns fall
-/// back to the same ascending-`p` scalar loops, so every element is
-/// accumulated in the same order no matter which path computed it.
+/// iteration, which capped it at store throughput). Columns past the last
+/// full tile go through the narrow loop, `NR` rows at a time, after those
+/// rows of A are packed transposed into `panel`; rows outside tiles and
+/// panels go through the edge loop. Every path accumulates each element in
+/// the same ascending-`p` order, so which path computed it never shows.
+///
+/// # Safety
+///
+/// The `#[target_feature]` instantiation needs a CPU with that feature.
+/// Slices are bounds-checked; nothing else is required.
 macro_rules! define_matmul_nn {
-    ($fname:ident $(, #[$attr:meta])?) => {
+    ($fname:ident, $narrow:ident $(, #[$attr:meta])?) => {
         $(#[$attr])?
-        unsafe fn $fname(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn $fname(
+            a: &[f32],
+            b: &[f32],
+            out: &mut [f32],
+            m: usize,
+            k: usize,
+            n: usize,
+            panel: &mut Vec<f32>,
+        ) {
             let mt = m - m % MR;
             let nt = n - n % NR;
             for i in (0..mt).step_by(MR) {
@@ -510,45 +638,48 @@ macro_rules! define_matmul_nn {
                         out[(i + r) * n + j0..(i + r) * n + j0 + NR].copy_from_slice(row);
                     }
                 }
-                // Column tail: same ascending-p axpy, scalar width.
-                if nt < n {
-                    for p in 0..k {
-                        let b_row = &b[p * n + nt..(p + 1) * n];
-                        for r in 0..MR {
-                            let a_rp = a[(i + r) * k + p];
-                            let o_row = &mut out[(i + r) * n + nt..(i + r + 1) * n];
-                            for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                                *o += a_rp * bv;
-                            }
-                        }
+            }
+            nn_edge(a, b, out, k, n, mt..m, 0..nt);
+            if nt == n || k == 0 {
+                // With `k == 0` every output is the zero it already holds.
+                return;
+            }
+            let mq = m - m % NR;
+            if panel.len() < k * NR {
+                panel.resize(k * NR, 0.0);
+            }
+            let panel = &mut panel[..k * NR];
+            for i0 in (0..mq).step_by(NR) {
+                for r in 0..NR {
+                    let row = &a[(i0 + r) * k..(i0 + r + 1) * k];
+                    for (slot, &v) in panel[r..].iter_mut().step_by(NR).zip(row) {
+                        *slot = v;
                     }
                 }
+                $narrow(panel, NR, b, out, i0, k, n, nt);
             }
-            // Row tail: naive ikj rows.
-            for i in mt..m {
-                for p in 0..k {
-                    let a_ip = a[i * k + p];
-                    let b_row = &b[p * n..(p + 1) * n];
-                    let o_row = &mut out[i * n..(i + 1) * n];
-                    for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                        *o += a_ip * bv;
-                    }
-                }
-            }
+            nn_edge(a, b, out, k, n, mq..m, nt..n);
         }
     };
 }
 
-define_matmul_nn!(matmul_nn_portable);
+define_matmul_nn!(matmul_nn_portable, matmul_narrow_portable);
 #[cfg(target_arch = "x86_64")]
-define_matmul_nn!(matmul_nn_avx512, #[target_feature(enable = "avx512f")]);
+define_matmul_nn!(matmul_nn_avx512, matmul_narrow_avx512, #[target_feature(enable = "avx512f")]);
 
 /// Defines one instantiation of the register-tiled `C = Aᵀ·B` driver
 /// (`a` is `[k, m]`). Identical tile structure to the NN driver; only the
 /// A-element addressing differs (column-major walk, which is contiguous
-/// per `p` — no transpose materialization needed).
+/// per `p` — no transpose materialization needed). Row `p` of A already
+/// holds consecutive output rows side by side, so the narrow loop reads A
+/// directly, with no pack.
+///
+/// # Safety
+///
+/// The `#[target_feature]` instantiation needs a CPU with that feature.
+/// Slices are bounds-checked; nothing else is required.
 macro_rules! define_matmul_tn {
-    ($fname:ident $(, #[$attr:meta])?) => {
+    ($fname:ident, $narrow:ident $(, #[$attr:meta])?) => {
         $(#[$attr])?
         unsafe fn $fname(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
             let mt = m - m % MR;
@@ -572,36 +703,24 @@ macro_rules! define_matmul_tn {
                         out[(i + r) * n + j0..(i + r) * n + j0 + NR].copy_from_slice(row);
                     }
                 }
-                if nt < n {
-                    for p in 0..k {
-                        let b_row = &b[p * n + nt..(p + 1) * n];
-                        for r in 0..MR {
-                            let a_rp = a[p * m + i + r];
-                            let o_row = &mut out[(i + r) * n + nt..(i + r + 1) * n];
-                            for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                                *o += a_rp * bv;
-                            }
-                        }
-                    }
-                }
             }
-            for p in 0..k {
-                let b_row = &b[p * n..(p + 1) * n];
-                for i in mt..m {
-                    let a_ip = a[p * m + i];
-                    let o_row = &mut out[i * n..(i + 1) * n];
-                    for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                        *o += a_ip * bv;
-                    }
-                }
+            tn_edge(a, b, out, m, k, n, mt..m, 0..nt);
+            if nt == n || k == 0 {
+                // With `k == 0` every output is the zero it already holds.
+                return;
             }
+            let mq = m - m % NR;
+            for i0 in (0..mq).step_by(NR) {
+                $narrow(&a[i0..], m, b, out, i0, k, n, nt);
+            }
+            tn_edge(a, b, out, m, k, n, mq..m, nt..n);
         }
     };
 }
 
-define_matmul_tn!(matmul_tn_portable);
+define_matmul_tn!(matmul_tn_portable, matmul_narrow_portable);
 #[cfg(target_arch = "x86_64")]
-define_matmul_tn!(matmul_tn_avx512, #[target_feature(enable = "avx512f")]);
+define_matmul_tn!(matmul_tn_avx512, matmul_narrow_avx512, #[target_feature(enable = "avx512f")]);
 
 /// Register-tiled matrix multiplication used by the graph ops. `a` is
 /// `[m, k]`, `b` is `[k, n]`; the result is `[m, n]`.
@@ -640,15 +759,24 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Vec<f32>) {
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
     out.clear();
     out.resize(m * n, 0.0);
-    #[cfg(target_arch = "x86_64")]
-    if avx512_available() {
-        // SAFETY: avx512f support was verified at runtime.
-        unsafe { matmul_nn_avx512(&a.data, &b.data, out, m, k, n) };
-        return;
-    }
-    // SAFETY: the portable instantiation carries no target-feature
-    // requirement; `unsafe` only mirrors the macro-shared signature.
-    unsafe { matmul_nn_portable(&a.data, &b.data, out, m, k, n) };
+    matmul_nn(&a.data, &b.data, out, m, k, n);
+}
+
+/// Runs the NN driver this CPU dispatches to on a zeroed `out`, with the
+/// thread's [`PANEL`] as its scratch.
+fn matmul_nn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    PANEL.with(|panel| {
+        let panel = &mut panel.borrow_mut();
+        #[cfg(target_arch = "x86_64")]
+        if avx512_available() {
+            // SAFETY: avx512f support was verified at runtime.
+            unsafe { matmul_nn_avx512(a, b, out, m, k, n, panel) };
+            return;
+        }
+        // SAFETY: the portable instantiation carries no target-feature
+        // requirement; `unsafe` only mirrors the macro-shared signature.
+        unsafe { matmul_nn_portable(a, b, out, m, k, n, panel) };
+    });
 }
 
 /// `A·Bᵀ` without materializing the transpose: `a` is `[m, k]`, `b` is
@@ -700,14 +828,7 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut Vec<f32>) {
                 bt[p * n + j] = v;
             }
         }
-        #[cfg(target_arch = "x86_64")]
-        if avx512_available() {
-            // SAFETY: avx512f support was verified at runtime.
-            unsafe { matmul_nn_avx512(&a.data, &bt, out, m, k, n) };
-            return;
-        }
-        // SAFETY: no target-feature requirement on the portable instance.
-        unsafe { matmul_nn_portable(&a.data, &bt, out, m, k, n) };
+        matmul_nn(&a.data, &bt, out, m, k, n);
     });
 }
 
@@ -847,6 +968,54 @@ mod tests {
                 reference,
                 "tn mismatch at {m}x{k}x{n}"
             );
+        }
+    }
+
+    type NnDriver = unsafe fn(&[f32], &[f32], &mut [f32], usize, usize, usize, &mut Vec<f32>);
+    type TnDriver = unsafe fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// On an AVX-512 host the dispatcher never runs the portable
+    /// instantiation, so run both drivers directly, at shapes whose
+    /// columns go through the narrow loop and whose rows cross the panel
+    /// boundary, and compare their bytes with each other and with the
+    /// ascending-`p` reference.
+    #[test]
+    fn portable_and_avx512_narrow_paths_agree_bitwise() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut panel = Vec::new();
+        for (m, k, n) in [
+            (32, 32, 1),
+            (33, 7, 4),
+            (95, 26, 31),
+            (131, 26, 33),
+            (1024, 32, 4),
+            (64, 0, 4),
+        ] {
+            let a = Tensor::randn(vec![m, k], 1.0, &mut rng);
+            let b = Tensor::randn(vec![k, n], 1.0, &mut rng);
+            let at = a.transposed();
+            let want = bits(naive_matmul(&a, &b).data());
+            let mut run = |nn: NnDriver, tn: TnDriver| {
+                let (mut c_nn, mut c_tn) = (vec![0.0; m * n], vec![0.0; m * n]);
+                // SAFETY: an avx512f driver is passed only after the CPU
+                // check below.
+                unsafe {
+                    nn(&a.data, &b.data, &mut c_nn, m, k, n, &mut panel);
+                    tn(&at.data, &b.data, &mut c_tn, k, m, n);
+                }
+                [bits(&c_nn), bits(&c_tn)]
+            };
+            let portable = run(matmul_nn_portable, matmul_tn_portable);
+            assert_eq!(portable, [want.clone(), want], "portable at {m}x{k}x{n}");
+            #[cfg(target_arch = "x86_64")]
+            if avx512_available() {
+                let wide = run(matmul_nn_avx512, matmul_tn_avx512);
+                assert_eq!(wide, portable, "avx512f at {m}x{k}x{n}");
+            }
         }
     }
 

@@ -45,24 +45,42 @@ fn infer_in_matches_graph_forward_bitwise() {
     }
 }
 
-#[test]
-fn batched_infer_matches_single_rows_bitwise() {
-    let mut rng = StdRng::seed_from_u64(21);
-    let net = Mlp::new("t", &[13, 32, 32, 4], Activation::Relu, &mut rng);
-    let batch = filled(vec![17, 13], 22);
+/// Checks that every row of a `batch`-row forward through a
+/// `[13, 32, 32, out]` net equals the one-row forward of that row.
+fn assert_batch_equivalent(out: usize, batch: usize, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let net = Mlp::new("t", &[13, 32, 32, out], Activation::Relu, &mut rng);
+    let rows = filled(vec![batch, 13], seed + 1);
     let mut pool = TensorPool::new();
-    let batched = net.infer_in(&batch, &mut pool);
-    for r in 0..17 {
-        let single = Tensor::from_vec(vec![1, 13], batch.row(r).to_vec());
+    let batched = net.infer_in(&rows, &mut pool);
+    for r in 0..batch {
+        let single = Tensor::from_vec(vec![1, 13], rows.row(r).to_vec());
         let out = net.infer_in(&single, &mut pool);
         for (a, b) in batched.row(r).iter().zip(out.data()) {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "row {r} of the batched forward diverged from the single-row forward"
+                "row {r} of the {batch}-row forward diverged from the single-row forward"
             );
         }
         pool.put(out.into_data());
+    }
+}
+
+#[test]
+fn batched_infer_matches_single_rows_bitwise() {
+    assert_batch_equivalent(4, 17, 21);
+}
+
+/// Narrow outputs (the critic's 1 column, the actor's 4 logits) run
+/// `NR = 32` rows at a time once a batch reaches 32 rows, and one row at
+/// a time below that; either way each row must keep its bits.
+#[test]
+fn narrow_outputs_keep_their_bits_across_the_row_panel_switch() {
+    for out in [1, 4] {
+        for batch in [31, 32, 33, 1024] {
+            assert_batch_equivalent(out, batch, 23 + batch as u64);
+        }
     }
 }
 

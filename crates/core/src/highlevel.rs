@@ -394,7 +394,10 @@ impl HighLevelLearner {
     /// # Errors
     ///
     /// Returns [`CheckpointError`] when a section is missing, malformed, or
-    /// shaped for a different architecture.
+    /// shaped for a different architecture, or when a replayed segment
+    /// holds an option out of range, the wrong number of opponent options,
+    /// or a state of the wrong width; that check runs before anything is
+    /// written.
     pub fn load_state(&mut self, sections: &[(String, Vec<u8>)]) -> Result<(), CheckpointError> {
         let actor_opt =
             serialize::decode_optimizer(serialize::require_section(sections, "actor_opt")?)?;
@@ -403,6 +406,9 @@ impl HighLevelLearner {
         let buffer = snapshot::decode_replay::<OptionTransition>(serialize::require_section(
             sections, "buffer",
         )?)?;
+        for (i, t) in buffer.iter().enumerate() {
+            self.check_segment(i, t)?;
+        }
         serialize::decode_params(
             serialize::require_section(sections, "params")?,
             &self.parameters(),
@@ -415,6 +421,32 @@ impl HighLevelLearner {
         self.critic_opt.import_state(critic_opt)?;
         self.buffer = buffer;
         Ok(())
+    }
+
+    /// Refuses replayed segment `i` unless an update can build its rows:
+    /// an option and one option per opponent, each below `n_options`, and
+    /// states as wide as the actor's input without the opponent columns.
+    /// A segment that fails would panic the next update.
+    fn check_segment(&self, i: usize, t: &OptionTransition) -> Result<(), CheckpointError> {
+        let obs_dim = self.actor.in_dim() - self.n_opponents * self.n_options;
+        let fits = t.option < self.n_options
+            && t.other_options.len() == self.n_opponents
+            && t.other_options.iter().all(|&o| o < self.n_options)
+            && t.obs.len() == obs_dim
+            && t.next_obs.len() == obs_dim;
+        if fits {
+            return Ok(());
+        }
+        Err(CheckpointError::Malformed(format!(
+            "replayed segment {i} (option {}, other options {:?}, states {} and {} wide) does \
+             not fit a learner of {} options, {} opponents and {obs_dim}-wide states",
+            t.option,
+            t.other_options,
+            t.obs.len(),
+            t.next_obs.len(),
+            self.n_options,
+            self.n_opponents
+        )))
     }
 }
 

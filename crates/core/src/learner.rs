@@ -170,6 +170,7 @@ impl<'a> LearnerCore<'a> {
             }
         };
         let restored = TrainerSnapshot::from_sections(&loaded.sections)
+            .and_then(|snap| check_rng_streams(&snap, env.rng_state().len()).map(|()| snap))
             .and_then(|snap| self.team.load_state(&snap.team_sections).map(|()| snap));
         match restored {
             Ok(snap) => {
@@ -373,6 +374,25 @@ impl<'a> LearnerCore<'a> {
     }
 }
 
+/// Refuses a snapshot whose environment RNG stream, or any worker world's,
+/// is not `words` long: `CooperativeWorld::set_rng_state` ignores such a
+/// stream, and the run would resume on the wrong one. Every world the
+/// engine steps is of the resumed environment's type, so all share its
+/// stream length.
+fn check_rng_streams(snap: &TrainerSnapshot, words: usize) -> Result<(), CheckpointError> {
+    let workers = snap.workers.iter().flat_map(|w| &w.rngs);
+    match std::iter::once(&snap.env_rng)
+        .chain(workers)
+        .find(|s| s.len() != words)
+    {
+        Some(stream) => Err(CheckpointError::Malformed(format!(
+            "an environment RNG stream of {} words, the world's has {words}",
+            stream.len()
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Where [`run_episodes`] steps its one world.
 pub(crate) trait EpisodeHost {
     /// Starts `episode`; returns its first observations and every
@@ -470,5 +490,107 @@ impl<W: CooperativeWorld> EpisodeHost for InlineHost<'_, W> {
 
     fn env_rng(&self) -> Vec<u64> {
         self.0.rng_state()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    use hero_baselines::sac::SacConfig;
+    use hero_faultplan::FaultPlan;
+    use hero_sim::env::{EnvConfig, LaneChangeEnv};
+    use hero_sim::scenario;
+
+    use crate::config::HeroConfig;
+    use crate::skills::SkillLibrary;
+
+    fn fixture(team_seed: u64) -> (HeroTeam, LaneChangeEnv) {
+        let env_cfg = EnvConfig {
+            max_steps: 4,
+            ..EnvConfig::default()
+        };
+        let skills = Arc::new(SkillLibrary::untrained(
+            env_cfg,
+            SacConfig {
+                hidden: 8,
+                ..SacConfig::default()
+            },
+            0,
+        ));
+        let cfg = HeroConfig {
+            hidden: 8,
+            ..HeroConfig::default()
+        };
+        let team = HeroTeam::new(2, env_cfg.high_dim(), skills, cfg, team_seed);
+        (team, scenario::two_vehicle_merge(env_cfg, 3))
+    }
+
+    /// Resumes a fresh fixture from a checkpoint holding a differently
+    /// seeded team and the given RNG streams. Returns the episode the run
+    /// would start at and whether the team and the environment stream
+    /// kept their fresh state.
+    fn resume_with(tag: &str, env_rng: Vec<u64>, workers: Option<WorkerStates>) -> (usize, bool) {
+        let dir = std::env::temp_dir().join(format!("hero-rngckpt-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let snap = TrainerSnapshot {
+            next_episode: 2,
+            step_counter: 8,
+            update_counter: 8,
+            trainer_rng: [1, 2, 3, 4],
+            env_rng,
+            recorder: Recorder::new(),
+            telemetry: None,
+            workers,
+            team_sections: fixture(2).0.save_state(),
+        };
+        let mut store = CheckpointStore::open(&dir, 2).expect("temp dir opens");
+        assert!(store.save(&snap.to_sections(), &FaultPlan::none()));
+
+        let (mut team, mut env) = fixture(1);
+        let (team_before, env_before) = (team.save_state(), env.rng_state());
+        let opts = TrainOptions {
+            episodes: 3,
+            update_every: 4,
+            seed: 7,
+        };
+        let ckpt = CheckpointConfig {
+            dir: Some(dir.clone()),
+            resume: true,
+            ..CheckpointConfig::default()
+        };
+        let start = LearnerCore::start(&mut team, &mut env, &opts, &ckpt)
+            .expect("a malformed checkpoint starts fresh")
+            .0
+            .start_episode;
+        let _ = std::fs::remove_dir_all(&dir);
+        (
+            start,
+            team.save_state() == team_before && env.rng_state() == env_before,
+        )
+    }
+
+    #[test]
+    fn resume_refuses_an_rng_stream_of_the_wrong_length() {
+        let workers = |stream: Vec<u64>| WorkerStates {
+            rngs: vec![vec![9, 9, 9, 9], stream],
+            last_options: vec![vec![0, 0], vec![0, 0]],
+        };
+        assert_eq!(
+            resume_with("env3", vec![5, 6, 7], None),
+            (0, true),
+            "a 3-word environment stream must leave team and world untouched"
+        );
+        assert_eq!(
+            resume_with("worker3", vec![5, 6, 7, 8], Some(workers(vec![1, 2, 3]))),
+            (0, true),
+            "a 3-word worker stream must leave team and world untouched"
+        );
+        assert_eq!(
+            resume_with("ok", vec![5, 6, 7, 8], Some(workers(vec![1, 2, 3, 4]))),
+            (2, false),
+            "4-word streams resume the checkpoint"
+        );
     }
 }

@@ -48,6 +48,7 @@ pub struct OpponentModel {
     buffer: ReplayBuffer<OpponentSample>,
     entropy_weight: f32,
     batch_size: usize,
+    obs_dim: usize,
     n_options: usize,
     informative: bool,
     /// Reused tape arena for update passes (see `Graph::reset`).
@@ -92,6 +93,7 @@ impl OpponentModel {
             buffer: ReplayBuffer::new(buffer_capacity),
             entropy_weight,
             batch_size,
+            obs_dim,
             n_options,
             informative: true,
             graph: Graph::new(),
@@ -272,7 +274,10 @@ impl OpponentModel {
     /// # Errors
     ///
     /// Returns [`CheckpointError`] when a section is missing, malformed, or
-    /// sized for a different opponent count/architecture.
+    /// sized for a different opponent count/architecture, or when a
+    /// replayed sample holds an option out of range, the wrong number of
+    /// options, or a state of the wrong width; that check runs before
+    /// anything is written.
     pub fn load_state(&mut self, sections: &[(String, Vec<u8>)]) -> Result<(), CheckpointError> {
         let mut r = Reader::new(serialize::require_section(sections, "opts")?);
         let n = r.u64()? as usize;
@@ -291,6 +296,9 @@ impl OpponentModel {
         let buffer = snapshot::decode_replay::<OpponentSample>(serialize::require_section(
             sections, "buffer",
         )?)?;
+        for (i, s) in buffer.iter().enumerate() {
+            self.check_sample(i, s)?;
+        }
         serialize::decode_params(
             serialize::require_section(sections, "params")?,
             &self.parameters(),
@@ -300,6 +308,27 @@ impl OpponentModel {
         }
         self.buffer = buffer;
         Ok(())
+    }
+
+    /// Refuses replayed sample `i` unless an update can train on it: one
+    /// option per opponent net, each below `n_options`, and a state
+    /// `obs_dim` wide. A sample that fails would panic the next update.
+    fn check_sample(&self, i: usize, s: &OpponentSample) -> Result<(), CheckpointError> {
+        let fits = s.options.len() == self.nets.len()
+            && s.options.iter().all(|&o| o < self.n_options)
+            && s.obs.len() == self.obs_dim;
+        if fits {
+            return Ok(());
+        }
+        Err(CheckpointError::Malformed(format!(
+            "replayed sample {i} (options {:?}, state {} wide) does not fit a model of {} nets \
+             of {} options and {}-wide states",
+            s.options,
+            s.obs.len(),
+            self.nets.len(),
+            self.n_options,
+            self.obs_dim
+        )))
     }
 }
 

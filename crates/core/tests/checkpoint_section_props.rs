@@ -12,9 +12,13 @@ use std::sync::{Arc, OnceLock};
 use hero_autograd::CheckpointError;
 use hero_baselines::sac::SacConfig;
 use hero_core::checkpoint::{TrainerSnapshot, WorkerStates};
+use hero_core::opponent::OpponentSample;
 use hero_core::trainer::{train_team, HeroTeam, TrainOptions};
 use hero_core::{HeroConfig, SkillLibrary};
+use hero_rl::buffer::ReplayBuffer;
+use hero_rl::snapshot::{decode_replay, encode_replay, Codec};
 use hero_rl::telemetry::{self, TelemetryConfig};
+use hero_rl::transition::OptionTransition;
 use hero_sim::env::{CooperativeWorld, EnvConfig, LaneChangeEnv};
 use hero_sim::scenario;
 use proptest::prelude::*;
@@ -188,6 +192,62 @@ fn every_section_survives_truncation_and_bitflips() {
             &format!("{name} with a trailing byte"),
         );
     }
+}
+
+/// `sections` with replay item 0 of section `name` changed by `edit`,
+/// re-encoded into a well-formed buffer.
+fn with_replay_item<T: Codec + Clone>(
+    name: &str,
+    edit: impl FnOnce(&mut T),
+) -> Vec<(String, Vec<u8>)> {
+    let index = sections()
+        .iter()
+        .position(|(n, _)| n == name)
+        .expect("fixture section");
+    let buffer: ReplayBuffer<T> = decode_replay(&sections()[index].1).expect("fixture decodes");
+    let mut items = buffer.items().to_vec();
+    edit(&mut items[0]);
+    let edited =
+        ReplayBuffer::from_parts(buffer.capacity(), items, buffer.head()).expect("same shape");
+    with_section(index, encode_replay(&edited))
+}
+
+fn assert_malformed(sections: &[(String, Vec<u8>)], damage: &str) {
+    let err = decode(sections, damage).expect_err(damage);
+    assert!(
+        matches!(err, CheckpointError::Malformed(_)),
+        "{damage}: {err}"
+    );
+}
+
+/// A replayed option segment the high-level update cannot build rows from
+/// is refused at load: before, an option of 9 out of 4 loaded and then
+/// panicked the next update in `push_one_hot`.
+#[test]
+fn replayed_segment_that_does_not_fit_the_learner_is_refused() {
+    let refused = |damage: &str, edit: fn(&mut OptionTransition)| {
+        assert_malformed(&with_replay_item("agent0/high/buffer", edit), damage);
+    };
+    refused("option 9 of 4", |t| t.option = 9);
+    refused("other option 9 of 4", |t| t.other_options[0] = 9);
+    refused("an extra other option", |t| t.other_options.push(0));
+    refused("a short state", |t| {
+        t.obs.pop();
+    });
+    refused("a long next state", |t| t.next_obs.push(0.0));
+}
+
+/// The same for the opponent model's replayed samples.
+#[test]
+fn replayed_opponent_sample_that_does_not_fit_the_model_is_refused() {
+    let refused = |damage: &str, edit: fn(&mut OpponentSample)| {
+        assert_malformed(&with_replay_item("agent0/opp/buffer", edit), damage);
+    };
+    refused("option 9 of 4", |s| s.options[0] = 9);
+    refused("a missing option", |s| {
+        s.options.pop();
+    });
+    refused("a long state", |s| s.obs.push(0.0));
 }
 
 proptest! {

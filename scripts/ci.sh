@@ -49,6 +49,14 @@ echo "=== batched-rollout differential equivalence"
 # CI log.
 cargo test -q --release -p hero-sim --test batch_equivalence
 
+echo "=== GEMM kernel contract"
+# Every kernel path (tiles, the narrow-column loop over NR-row panels, the
+# edge rows) computes each element as the same ascending-p f32 chain, so
+# a product's row r never depends on how many rows the batch holds.
+# Tier-1 already runs these suites; rerun them by name, optimized as the
+# program ships, so a contract break is unmissable in the CI log.
+cargo test -q --release -p hero-autograd --test matmul_kernel_props --test infer_forward
+
 echo "=== telemetry smoke"
 scripts/smoke_telemetry.sh "$WORK/smoke"
 
