@@ -272,8 +272,7 @@ fn actor_loop(
         return;
     }
     telemetry::begin_capture();
-    let proto = LaneChangeEnv::new(cfg, spawns, seed);
-    let mut shard = BatchWorld::replicate(&proto, worlds);
+    let mut shard = BatchWorld::new(cfg, spawns, seed, worlds);
     let _ = telemetry::take_capture();
     let n = shard.num_vehicles();
     while let Ok(msg) = rx.recv() {
@@ -1235,23 +1234,24 @@ pub fn train_team_actor_learner(
 
     // The learner owns every world's environment RNG stream; world 0 is
     // the canonical env's own stream (so serial mode continues it
-    // exactly), worlds g > 0 get independent replica streams. Replica
-    // construction senses each world once purely to read its RNG stream;
+    // exactly), worlds g > 0 get independent replica streams. Building
+    // the worlds senses each one once purely to read its RNG stream;
     // capture and discard that telemetry, because a resumed run imports
     // the checkpoint's totals (which already counted the original
-    // construction) and then rebuilds the replicas again — without the
+    // construction) and then rebuilds the worlds again — without the
     // discard its sensor counters would exceed an uninterrupted run's.
     telemetry::begin_capture();
+    let fresh = BatchWorld::new(*env.config(), env.spawns().to_vec(), env.seed(), total_worlds);
+    let _ = telemetry::take_capture();
     let mut world_rng: Vec<Vec<u64>> = (0..total_worlds)
         .map(|g| {
             if g == 0 {
                 env.rng_state()
             } else {
-                env.replica(g).rng_state()
+                fresh.rng_state(g)
             }
         })
         .collect();
-    let _ = telemetry::take_capture();
     // Serial mode steps its one world on the team's own cursor; batched
     // mode keeps one cursor per world.
     let mut cursors: Vec<TeamCursor> = if serial {

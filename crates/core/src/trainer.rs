@@ -876,10 +876,10 @@ mod tests {
     #[test]
     fn team_size_must_match_world() {
         let env_cfg = EnvConfig::default();
-        let env = scenario::congestion(env_cfg, 0); // 3 learners
+        let mut env = scenario::congestion(env_cfg, 0); // 3 learners
         let mut team = small_team(env_cfg, 2); // wrong size
         let mut rng = StdRng::seed_from_u64(0);
-        let obs: Vec<_> = (0..4).map(|i| hero_sim::env::LaneChangeEnv::observe(&env, i)).collect();
+        let obs = env.reset();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             team.decide(&env, &obs, &mut rng, true)
         }));

@@ -498,7 +498,7 @@ mod tests {
 
         let a = Registry::new(TelemetryConfig::default());
         a.counter_add("env_steps", 41);
-        a.record_span("rollout".into(), Duration::from_micros(120));
+        a.record_span("rollout", Duration::from_micros(120));
         for i in 0..200 {
             a.observe("reward", (i as f64).cos());
         }

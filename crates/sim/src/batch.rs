@@ -1,9 +1,12 @@
-//! Vectorized batch rollout engine: N independent lane-change worlds
-//! stepped through struct-of-arrays state.
+//! The lane-change simulator: N independent worlds stepped through
+//! struct-of-arrays state.
 //!
 //! [`BatchWorld`] holds the poses of `n_worlds × n_vehicles` vehicles in
 //! contiguous columns (`s`, `d`, `heading`, `speed`) and advances any
-//! subset of worlds per call. Sensing and collision checking are the hot
+//! subset of worlds per call. It is the only implementation of the
+//! world's kinematics, collisions and sensors: [`LaneChangeEnv`] is a
+//! handle over a one-world batch, and the actor shards of the rollout
+//! engine are wider ones. Sensing and collision checking are the hot
 //! path: both sensors and the separating-axis collision test run against
 //! per-vehicle trig caches (one `sin_cos` per heading instead of one per
 //! ray/cell/obstacle/pair), and conservative bounding-circle far rejects
@@ -14,30 +17,34 @@
 //!
 //! Every per-world result — poses, lidar scans, camera images, rewards,
 //! collision/done flags, and the RNG stream — is **bit-identical** to
-//! stepping a scalar [`LaneChangeEnv`] seeded with
-//! [`replica_seed`]`(base, w)` through the same commands. The caches are
-//! safe because `f32::sin_cos` is defined as `(self.sin(), self.cos())`
-//! (so a cached pair equals the per-call values), inlined rotations repeat
-//! [`crate::geometry::Vec2::rotated`]'s exact arithmetic, and the camera's
-//! circle reject only skips obstacles whose `contains` test is provably
-//! false. The contract is pinned by the differential proptest suite in
-//! `crates/sim/tests/batch_equivalence.rs`; any change to the scalar
-//! environment or sensors must keep that suite passing (extend it when
-//! adding observable state).
+//! stepping the plain scalar reference world (the test oracle in
+//! `crates/sim/tests/oracle/`, which casts every ray against an oriented
+//! bounding box and tests every camera cell against every obstacle)
+//! seeded with [`replica_seed`]`(seed, w)` through the same commands. The
+//! caches are safe because `f32::sin_cos` is defined as `(self.sin(),
+//! self.cos())` (so a cached pair equals the per-call values), inlined
+//! rotations repeat [`crate::geometry::Vec2::rotated`]'s exact
+//! arithmetic, and the far rejects only skip work whose result is
+//! provably discarded. The contract is pinned by the differential suite
+//! in `crates/sim/tests/batch_equivalence.rs`; any change to the world
+//! must keep it passing, with the oracle changed to match (extend it
+//! when adding observable state).
+//!
+//! [`LaneChangeEnv`]: crate::env::LaneChangeEnv
+
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::env::{
-    replica_seed, EnvConfig, LaneChangeEnv, Observation, StepOutcome, VehicleRole, VehicleSpawn,
-};
+use crate::env::{replica_seed, EnvConfig, Observation, StepOutcome, VehicleRole, VehicleSpawn};
 use crate::geometry::Vec2;
 use crate::options::{DrivingOption, ScriptedExecutor};
 use crate::sensors::{CAMERA_OFF_TRACK, CAMERA_VEHICLE};
 use crate::vehicle::{VehicleCommand, VehicleState};
 
-/// N independent replicas of a [`LaneChangeEnv`] in struct-of-arrays
-/// layout. World `w`, vehicle `i` lives at column index
+/// N independent lane-change worlds sharing one config and spawn table, in
+/// struct-of-arrays layout. World `w`, vehicle `i` lives at column index
 /// `w * num_vehicles + i`.
 #[derive(Debug)]
 pub struct BatchWorld {
@@ -73,7 +80,7 @@ pub struct BatchWorld {
 /// (camera frame, OBB axes) and `sin_cos(-heading)` for inverse rotations
 /// (point/ray into the OBB's local frame). The two must be cached
 /// separately — `sin_cos(-h)` is computed on `-h`, not sign-flipped from
-/// `sin_cos(h)` — to stay bitwise identical to the scalar path.
+/// `sin_cos(h)` — to stay bitwise identical to the reference world.
 #[derive(Clone, Copy)]
 struct Trig {
     sin_h: f32,
@@ -122,7 +129,7 @@ fn obb_axes(t: Trig) -> [Vec2; 2] {
 }
 
 /// The four corners of an OBB from its cached axes — the exact
-/// construction of [`crate::geometry::Obb::corners`].
+/// construction of the reference world's box corners.
 fn obb_corners(center: Vec2, axes: &[Vec2; 2], half_len: f32, half_wid: f32) -> [Vec2; 4] {
     let u = axes[0].scale(half_len);
     let v = axes[1].scale(half_wid);
@@ -134,9 +141,10 @@ fn obb_corners(center: Vec2, axes: &[Vec2; 2], half_len: f32, half_wid: f32) -> 
     ]
 }
 
-/// [`crate::geometry::Obb::intersects`] (separating-axis test) on cached
-/// trig: same axes, same corner construction, same projection fold and
-/// comparison order, no per-call `sin_cos` or heap allocation.
+/// The separating-axis test between two oriented bounding boxes on cached
+/// trig — the reference world's box-overlap test with the same axes, the
+/// same corner construction, the same projection fold and comparison
+/// order, and no per-call `sin_cos` or heap allocation.
 fn sat_intersects(
     center_a: Vec2,
     ta: Trig,
@@ -170,19 +178,24 @@ fn sat_intersects(
 }
 
 impl BatchWorld {
-    /// Builds `n_worlds` replicas of `proto`: same config and spawn table,
-    /// world `w` seeded with [`replica_seed`]`(proto.seed(), w)` so every
-    /// replica owns an independent RNG stream (and world 0 reproduces
-    /// `proto` as freshly constructed). Like [`LaneChangeEnv::new`], every
-    /// world is reset once during construction.
+    /// Builds `n_worlds` worlds from one config and spawn table, world `w`
+    /// seeded with [`replica_seed`]`(seed, w)` so every world owns an
+    /// independent RNG stream (and world 0 is the
+    /// [`LaneChangeEnv::new`]`(cfg, spawns, seed)` world). Every world is
+    /// reset once during construction.
+    ///
+    /// [`LaneChangeEnv::new`]: crate::env::LaneChangeEnv::new
     ///
     /// # Panics
     ///
-    /// Panics when `n_worlds` is zero.
-    pub fn replicate(proto: &LaneChangeEnv, n_worlds: usize) -> Self {
+    /// Panics when `spawns` is empty, a spawn lane is out of range, or
+    /// `n_worlds` is zero.
+    pub fn new(cfg: EnvConfig, spawns: Vec<VehicleSpawn>, seed: u64, n_worlds: usize) -> Self {
+        assert!(!spawns.is_empty(), "environment needs at least one vehicle");
+        for sp in &spawns {
+            assert!(sp.lane < cfg.track.num_lanes, "spawn lane out of range");
+        }
         assert!(n_worlds >= 1, "batch needs at least one world");
-        let cfg = *proto.config();
-        let spawns = proto.spawns().to_vec();
         let n = spawns.len();
         let slots = n_worlds * n;
         let mut world = Self {
@@ -195,7 +208,7 @@ impl BatchWorld {
             heading: vec![0.0; slots],
             speed: vec![0.0; slots],
             rngs: (0..n_worlds)
-                .map(|w| StdRng::seed_from_u64(replica_seed(proto.seed(), w)))
+                .map(|w| StdRng::seed_from_u64(replica_seed(seed, w)))
                 .collect(),
             step_count: vec![0; n_worlds],
             done: vec![true; n_worlds],
@@ -220,6 +233,11 @@ impl BatchWorld {
     /// The shared environment configuration.
     pub fn config(&self) -> &EnvConfig {
         &self.cfg
+    }
+
+    /// The spawn table driving every reset.
+    pub fn spawns(&self) -> &[VehicleSpawn] {
+        &self.spawns
     }
 
     /// Indices of the learner-controlled vehicles (same in every world).
@@ -253,18 +271,18 @@ impl BatchWorld {
         }
     }
 
-    /// Whether vehicle `i` in world `w` must merge (see
-    /// [`LaneChangeEnv::needs_merge`]).
+    /// Whether vehicle `i` in world `w` started this episode behind slower
+    /// scripted traffic in its own lane — i.e. it must merge to make
+    /// progress.
     pub fn needs_merge(&self, w: usize, i: usize) -> bool {
         self.needs_merge[w * self.n_vehicles + i]
     }
 
-    /// Whether vehicle `i` in world `w` has merged (see
-    /// [`LaneChangeEnv::has_merged`]).
+    /// Whether vehicle `i` in world `w` has left its initial lane without
+    /// colliding — the paper's "successful merge".
     pub fn has_merged(&self, w: usize, i: usize) -> bool {
         let slot = w * self.n_vehicles + i;
-        !self.collided[slot]
-            && self.cfg.track.lane_of(self.d[slot]) != self.initial_lanes[slot]
+        !self.collided[slot] && self.cfg.track.lane_of(self.d[slot]) != self.initial_lanes[slot]
     }
 
     /// Whether vehicle `i` in world `w` has collided this episode.
@@ -286,9 +304,9 @@ impl BatchWorld {
         }
     }
 
-    /// Starts a new episode in world `w` and returns its initial
-    /// observations — the batch counterpart of [`LaneChangeEnv::reset`],
-    /// drawing from world `w`'s own RNG stream in the same order.
+    /// Starts a new episode in world `w` (re-randomizing jittered spawn
+    /// positions and random lanes from world `w`'s own RNG stream) and
+    /// returns its initial observations.
     pub fn reset_world(&mut self, w: usize) -> Vec<Observation> {
         let num_lanes = self.cfg.track.num_lanes;
         let n = self.n_vehicles;
@@ -323,7 +341,25 @@ impl BatchWorld {
         self.compute_needs_merge(w);
         hero_telemetry::counter_add("lidar_scans", n as u64);
         hero_telemetry::counter_add("camera_frames", n as u64);
-        self.sense_worlds(&[w]).pop().expect("one world sensed")
+        self.sense_worlds(&[w], 0..n)
+            .pop()
+            .expect("one world sensed")
+    }
+
+    /// Renders the observation of vehicle `i` in world `w` from the
+    /// current state, counting one lidar scan and one camera frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `w` or `i` is out of range.
+    pub(crate) fn observe(&mut self, w: usize, i: usize) -> Observation {
+        assert!(i < self.n_vehicles, "vehicle index out of range");
+        hero_telemetry::counter_add("lidar_scans", 1);
+        hero_telemetry::counter_add("camera_frames", 1);
+        self.sense_worlds(&[w], i..i + 1)
+            .pop()
+            .and_then(|mut world| world.pop())
+            .expect("one vehicle sensed")
     }
 
     fn compute_needs_merge(&mut self, w: usize) {
@@ -351,6 +387,13 @@ impl BatchWorld {
     /// scripted vehicles are ignored). Returns one [`StepOutcome`] per
     /// listed world, in order.
     ///
+    /// Each step moves every vehicle (unicycle kinematics, scripted
+    /// vehicles keeping their lane at their own speed), flags wall and
+    /// vehicle–vehicle collisions, ends the episode on any collision or at
+    /// the step limit, pays every vehicle the team reward
+    /// `α·r_col + (1−α)·r_travel` (Sec. IV-B), and renders every vehicle's
+    /// observation.
+    ///
     /// # Panics
     ///
     /// Panics when the command shape is wrong or any listed world's
@@ -358,7 +401,7 @@ impl BatchWorld {
     pub fn step_worlds(
         &mut self,
         worlds: &[usize],
-        commands: &[Vec<VehicleCommand>],
+        commands: &[impl AsRef<[VehicleCommand]>],
     ) -> Vec<StepOutcome> {
         let _step_span = hero_telemetry::span("env_step");
         hero_telemetry::counter_add("env_steps", worlds.len() as u64);
@@ -372,6 +415,7 @@ impl BatchWorld {
         // Phase 1: kinematics, every world.
         let mut before_s = vec![0.0f32; worlds.len() * n];
         for (k, (&w, cmds)) in worlds.iter().zip(commands).enumerate() {
+            let cmds = cmds.as_ref();
             assert_eq!(cmds.len(), n, "one command per vehicle required");
             assert!(!self.done[w], "step() called on a finished episode");
             for i in 0..n {
@@ -426,8 +470,7 @@ impl BatchWorld {
                     self.cfg.alpha * col + (1.0 - self.cfg.alpha) * travel
                 })
                 .collect();
-            let mean_speed =
-                (0..n).map(|i| self.speed[w * n + i]).sum::<f32>() / n as f32;
+            let mean_speed = (0..n).map(|i| self.speed[w * n + i]).sum::<f32>() / n as f32;
             all_collisions.push(collisions);
             all_rewards.push(rewards);
             all_done.push(self.done[w]);
@@ -439,7 +482,7 @@ impl BatchWorld {
             let _sensor_span = hero_telemetry::span("sensors");
             hero_telemetry::counter_add("lidar_scans", (worlds.len() * n) as u64);
             hero_telemetry::counter_add("camera_frames", (worlds.len() * n) as u64);
-            self.sense_worlds(worlds)
+            self.sense_worlds(worlds, 0..n)
         };
 
         observations
@@ -460,14 +503,15 @@ impl BatchWorld {
             .collect()
     }
 
-    /// Collision detection for world `w`, bit-identical to
-    /// [`LaneChangeEnv`]'s: the wall test and separating-axis test run on
-    /// one cached `sin_cos` per vehicle (`sin_cos(h) == (h.sin(),
-    /// h.cos())`, see the module docs), and vehicle pairs whose centers
-    /// are more than three circumradii apart skip the SAT entirely —
-    /// boxes separated by over `2·√2` circumradii always project apart on
-    /// one of the first OBB's two axes, and the extra margin dwarfs f32
-    /// rounding, so the skipped test could only ever report "no overlap".
+    /// Collision detection for world `w`: a wall test (any part of the body
+    /// outside the drivable area) and a separating-axis test between every
+    /// pair of oriented bounding boxes, both on one cached `sin_cos` per
+    /// vehicle (`sin_cos(h) == (h.sin(), h.cos())`, see the module docs).
+    /// Vehicle pairs whose centers are more than three circumradii apart
+    /// skip the SAT entirely — boxes separated by over `2·√2` circumradii
+    /// always project apart on one of the first OBB's two axes, and the
+    /// extra margin dwarfs f32 rounding, so the skipped test could only
+    /// ever report "no overlap".
     fn detect_collisions(&self, w: usize) -> Vec<bool> {
         let n = self.n_vehicles;
         let mut hit = vec![false; n];
@@ -504,11 +548,21 @@ impl BatchWorld {
         hit
     }
 
-    /// Renders every vehicle's observation in every listed world in one
-    /// ego-major pass over shared trig caches, with conservative
+    /// Renders the observations of vehicles `egos` in every listed world
+    /// in one ego-major pass over shared trig caches, with conservative
     /// bounding-circle far rejects that skip obstacles provably outside a
     /// sensor's reach (bitwise-safe, see the inline arguments).
-    fn sense_worlds(&mut self, worlds: &[usize]) -> Vec<Vec<Observation>> {
+    ///
+    /// The lidar casts `beams` rays, beam 0 along the ego's heading and
+    /// the rest counter-clockwise, against every other vehicle's oriented
+    /// bounding box and the two track walls; each return is the distance
+    /// to the nearest hit normalized by `max_range` (1 = nothing in
+    /// range). The camera samples the center of every cell of a
+    /// `rows × cols` window ahead of the ego in its heading-aligned frame
+    /// (row 0 nearest, flattened row-major): [`CAMERA_VEHICLE`] inside
+    /// another vehicle's box, else [`CAMERA_OFF_TRACK`] off the drivable
+    /// area, else 0.
+    fn sense_worlds(&mut self, worlds: &[usize], egos: Range<usize>) -> Vec<Vec<Observation>> {
         let n = self.n_vehicles;
         let track = self.cfg.track;
         let params = self.cfg.vehicle;
@@ -516,7 +570,8 @@ impl BatchWorld {
         let half_wid = params.width / 2.0;
         let lidar = self.cfg.lidar;
         let cam = self.cfg.camera;
-        let n_egos = worlds.len() * n;
+        let per_world = egos.len();
+        let n_egos = worlds.len() * per_world;
 
         // One sin_cos pair per vehicle per sweep (instead of per
         // ray/cell/obstacle) — see the module docs for why this is
@@ -530,9 +585,9 @@ impl BatchWorld {
         // Obstacles per ego: every other vehicle in the ego's world,
         // pre-transformed into the ego-relative frame (and the lidar
         // origin into each obstacle's local frame — beam-invariant).
-        let mut obstacles: Vec<Obstacle> = Vec::with_capacity(n_egos * (n - 1).max(0));
+        let mut obstacles: Vec<Obstacle> = Vec::with_capacity(n_egos * (n - 1));
         for (wk, &w) in worlds.iter().enumerate() {
-            for i in 0..n {
+            for i in egos.clone() {
                 let ego_slot = w * n + i;
                 let origin = Vec2::new(0.0, self.d[ego_slot]);
                 for j in 0..n {
@@ -541,8 +596,10 @@ impl BatchWorld {
                     }
                     let slot = w * n + j;
                     let t = trig[wk * n + j];
-                    let center =
-                        Vec2::new(track.signed_delta(self.s[ego_slot], self.s[slot]), self.d[slot]);
+                    let center = Vec2::new(
+                        track.signed_delta(self.s[ego_slot], self.s[slot]),
+                        self.d[slot],
+                    );
                     let rel = origin.sub(center);
                     // origin.sub(center).rotated(-heading) with cached trig.
                     let o_local = Vec2::new(
@@ -571,7 +628,7 @@ impl BatchWorld {
         //    (~0.15 m) of slack over f32 rounding.
         //  - camera: a cell can only read `CAMERA_VEHICLE` when its
         //    center is within one circumradius of the obstacle's center
-        //    (`Obb::contains` implies it), and cell centers lie within
+        //    (the box test implies it), and cell centers lie within
         //    `√(forward² + lateral²)` of the sensor origin; an obstacle
         //    beyond the sum of both radii (plus 5 cm of slack over f32
         //    rounding) can therefore never mark a cell.
@@ -596,11 +653,11 @@ impl BatchWorld {
 
         let mut out: Vec<Vec<Observation>> = Vec::with_capacity(worlds.len());
         for (wk, &w) in worlds.iter().enumerate() {
-            let mut world_obs: Vec<Observation> = Vec::with_capacity(n);
-            for i in 0..n {
-                let e = wk * n + i;
+            let mut world_obs: Vec<Observation> = Vec::with_capacity(per_world);
+            for (k, i) in egos.clone().enumerate() {
+                let e = wk * per_world + k;
                 let ego_slot = w * n + i;
-                let t = trig[e];
+                let t = trig[wk * n + i];
                 let heading = self.heading[ego_slot];
                 let d_ego = self.d[ego_slot];
                 near_lidar.clear();
@@ -620,8 +677,7 @@ impl BatchWorld {
                 let beam_base = ego_slot * lidar.beams;
                 if self.beam_heading[ego_slot].to_bits() != heading.to_bits() {
                     for b in 0..lidar.beams {
-                        let angle =
-                            heading + b as f32 / lidar.beams as f32 * std::f32::consts::TAU;
+                        let angle = heading + b as f32 / lidar.beams as f32 * std::f32::consts::TAU;
                         self.beam_cos[beam_base + b] = angle.cos();
                         self.beam_sin[beam_base + b] = angle.sin();
                     }
@@ -629,12 +685,11 @@ impl BatchWorld {
                 }
                 let mut scan = vec![0.0f32; lidar.beams];
                 for (b, out) in scan.iter_mut().enumerate() {
-                    let dir =
-                        Vec2::new(self.beam_cos[beam_base + b], self.beam_sin[beam_base + b]);
+                    let dir = Vec2::new(self.beam_cos[beam_base + b], self.beam_sin[beam_base + b]);
                     let mut nearest = lidar.max_range;
                     for ob in &near_lidar {
                         // dir.rotated(-heading) with cached trig, then the
-                        // exact slab test of `Obb::ray_intersection`.
+                        // slab test.
                         let dl = Vec2::new(
                             ob.cos_nh * dir.x - ob.sin_nh * dir.y,
                             ob.sin_nh * dir.x + ob.cos_nh * dir.y,
@@ -644,7 +699,7 @@ impl BatchWorld {
                         }
                     }
                     for wall in walls {
-                        // `ray_to_horizontal_line`, inlined.
+                        // The ray against the horizontal line `y = wall`.
                         if dir.y.abs() >= 1e-9 {
                             let t = (wall - d_ego) / dir.y;
                             if t >= 0.0 {
@@ -655,8 +710,8 @@ impl BatchWorld {
                     *out = nearest / lidar.max_range;
                 }
 
-                // Camera raster for this ego. The scalar path walks every
-                // cell × obstacle; here the loop is inverted: one base
+                // Camera raster for this ego. The reference world walks
+                // every cell × obstacle; here the loop is inverted: one base
                 // pass marks off-track cells, then each obstacle visits
                 // only the cells its bounding circle can reach. This is
                 // bit-identical because a cell's value is order-free —
@@ -688,7 +743,9 @@ impl BatchWorld {
                     let ql = t.sin_nh * rel_x + t.cos_nh * rel_y;
                     let r_sel = circum2.sqrt() + 0.01;
                     let r_lo = ((qf - r_sel) / cell_f - 0.5).floor().max(0.0) as usize;
-                    let r_hi = ((qf + r_sel) / cell_f - 0.5).ceil().min((cam.rows - 1) as f32);
+                    let r_hi = ((qf + r_sel) / cell_f - 0.5)
+                        .ceil()
+                        .min((cam.rows - 1) as f32);
                     let c_lo = ((ql + cam.lateral_half - r_sel) / cell_l - 0.5)
                         .floor()
                         .max(0.0) as usize;
@@ -704,12 +761,12 @@ impl BatchWorld {
                         for c in c_lo..=c_hi {
                             let lat = -cam.lateral_half + (c as f32 + 0.5) * cell_l;
                             // Vec2::new(fwd, lat).rotated(heading) with
-                            // cached trig — same expressions as the scalar
-                            // path.
+                            // cached trig — the same expressions as the
+                            // base pass.
                             let px = t.cos_h * fwd - t.sin_h * lat;
                             let py = d_ego + (t.sin_h * fwd + t.cos_h * lat);
                             // p.sub(center).rotated(-heading) with cached
-                            // trig, then `Obb::contains`'s exact comparison.
+                            // trig, then the box's half-extent comparison.
                             let dx = px - ob.center.x;
                             let dy = py - ob.center.y;
                             let rel_x = ob.cos_nh * dx - ob.sin_nh * dy;
@@ -736,9 +793,11 @@ impl BatchWorld {
     }
 }
 
-/// The slab test of [`crate::geometry::Obb::ray_intersection`] on
-/// pre-transformed local-frame inputs — identical arithmetic, identical
-/// branch structure.
+/// Distance along the ray `o + t·d` (both in a box's local frame, `d`
+/// unit length) to its first intersection with the box of half extents
+/// `half_len × half_wid`, if one exists with `t >= 0` (0 when the ray
+/// starts inside): a slab test, the reference world's ray–box
+/// intersection with identical arithmetic and branch structure.
 fn slab_ray(o: Vec2, d: Vec2, half_len: f32, half_wid: f32) -> Option<f32> {
     let mut t_min = f32::NEG_INFINITY;
     let mut t_max = f32::INFINITY;
@@ -770,47 +829,21 @@ fn slab_ray(o: Vec2, d: Vec2, half_len: f32, half_wid: f32) -> Option<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::CooperativeWorld;
     use crate::scenario;
 
-    fn coast(env_speeds: &[f32]) -> Vec<VehicleCommand> {
-        env_speeds.iter().map(|&s| VehicleCommand::coast(s)).collect()
-    }
-
-    #[test]
-    fn world_zero_matches_proto_bit_for_bit() {
-        let mut scalar = scenario::congestion(EnvConfig::default(), 11);
-        let mut batch = BatchWorld::replicate(&scalar, 3);
-        for _ in 0..2 {
-            let so = scalar.reset();
-            let bo = batch.reset_world(0);
-            assert_eq!(so, bo);
-            while !scalar.is_done() {
-                let speeds: Vec<f32> =
-                    (0..scalar.num_vehicles()).map(|i| scalar.vehicle_state(i).speed).collect();
-                let cmds = coast(&speeds);
-                let s_out = scalar.step(&cmds);
-                let b_out = batch.step_worlds(&[0], &[cmds.clone()]).pop().unwrap();
-                assert_eq!(s_out.observations, b_out.observations);
-                for (a, b) in s_out.rewards.iter().zip(&b_out.rewards) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-                assert_eq!(s_out.collisions, b_out.collisions);
-                assert_eq!(s_out.done, b_out.done);
-                assert_eq!(s_out.mean_speed.to_bits(), b_out.mean_speed.to_bits());
-            }
-            assert_eq!(scalar.rng_state(), batch.rng_state(0));
-        }
+    fn coast_all(batch: &BatchWorld, w: usize) -> Vec<VehicleCommand> {
+        (0..batch.num_vehicles())
+            .map(|i| VehicleCommand::coast(batch.vehicle_state(w, i).speed))
+            .collect()
     }
 
     #[test]
     fn worlds_are_independent() {
-        let proto = scenario::two_vehicle_merge(EnvConfig::default(), 5);
-        let mut batch = BatchWorld::replicate(&proto, 2);
+        let spawns = scenario::two_vehicle_merge_spawns();
+        let mut batch = BatchWorld::new(EnvConfig::default(), spawns, 5, 2);
         let before = batch.vehicle_state(1, 0);
         // Stepping world 0 must leave world 1 untouched.
-        let cmds: Vec<VehicleCommand> =
-            (0..batch.num_vehicles()).map(|i| VehicleCommand::coast(batch.vehicle_state(0, i).speed)).collect();
+        let cmds = coast_all(&batch, 0);
         batch.step_worlds(&[0], &[cmds]);
         let after = batch.vehicle_state(1, 0);
         assert_eq!(before, after);
@@ -820,12 +853,47 @@ mod tests {
 
     #[test]
     fn rng_state_round_trips() {
-        let proto = scenario::congestion(EnvConfig::default(), 3);
-        let mut batch = BatchWorld::replicate(&proto, 2);
+        let spawns = scenario::congestion_spawns();
+        let mut batch = BatchWorld::new(EnvConfig::default(), spawns, 3, 2);
         let saved = batch.rng_state(1);
         let first = batch.reset_world(1);
         batch.set_rng_state(1, &saved);
         let again = batch.reset_world(1);
         assert_eq!(first, again);
+    }
+
+    #[test]
+    fn observe_renders_what_the_step_rendered() {
+        // One ego rendered alone must equal its row of the full sweep.
+        let spawns = scenario::congestion_spawns();
+        let mut batch = BatchWorld::new(EnvConfig::default(), spawns, 4, 3);
+        let cmds: Vec<Vec<VehicleCommand>> = (0..3)
+            .map(|w| {
+                coast_all(&batch, w)
+                    .into_iter()
+                    .map(|c| VehicleCommand::new(c.linear, 0.2))
+                    .collect()
+            })
+            .collect();
+        let outs = batch.step_worlds(&[2, 0], &[&cmds[2], &cmds[0]]);
+        for (out, w) in outs.iter().zip([2, 0]) {
+            for (i, obs) in out.observations.iter().enumerate() {
+                assert_eq!(&batch.observe(w, i), obs, "world {w} vehicle {i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one vehicle")]
+    fn new_rejects_an_empty_spawn_table() {
+        let _ = BatchWorld::new(EnvConfig::default(), Vec::new(), 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "spawn lane out of range")]
+    fn new_rejects_a_spawn_lane_off_the_track() {
+        let mut spawns = scenario::two_vehicle_merge_spawns();
+        spawns[0].lane = EnvConfig::default().track.num_lanes;
+        let _ = BatchWorld::new(EnvConfig::default(), spawns, 0, 1);
     }
 }

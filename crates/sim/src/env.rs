@@ -8,12 +8,13 @@
 //! `r_h = α·r_col + (1−α)·r_travel` (Sec. IV-B). Scripted vehicles (e.g.
 //! the plodding vehicle 4 of Fig. 9 that simulates congestion) drive
 //! themselves; learners are driven by the caller.
+//!
+//! This module holds the environment's types and its one-world handle,
+//! [`LaneChangeEnv`]; the stepping, sensing and collision code is
+//! [`BatchWorld`]'s.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use crate::options::{DrivingOption, ScriptedExecutor};
-use crate::sensors::{camera_image, lidar_scan, CameraConfig, LidarConfig};
+use crate::batch::BatchWorld;
+use crate::sensors::{CameraConfig, LidarConfig};
 use crate::track::Track;
 use crate::vehicle::{VehicleCommand, VehicleParams, VehicleState};
 
@@ -183,30 +184,24 @@ pub trait CooperativeWorld {
     fn set_rng_state(&mut self, state: &[u64]);
 }
 
-/// The multi-vehicle cooperative lane-change environment.
+/// The multi-vehicle cooperative lane-change environment: a handle over
+/// world 0 of a one-world [`BatchWorld`], which owns the kinematics,
+/// collisions and sensors.
 #[derive(Debug)]
 pub struct LaneChangeEnv {
-    cfg: EnvConfig,
-    spawns: Vec<VehicleSpawn>,
-    vehicles: Vec<VehicleState>,
-    executor: ScriptedExecutor,
-    rng: StdRng,
+    world: BatchWorld,
     seed: u64,
-    step_count: usize,
-    done: bool,
-    initial_lanes: Vec<usize>,
-    needs_merge: Vec<bool>,
-    collided: Vec<bool>,
 }
 
-/// The seed of replica `index` of a world seeded with `base`.
+/// The seed of world `index` of a [`BatchWorld`] seeded with `base`.
 ///
-/// Replica 0 keeps the base seed (so a 1-replica batch is bit-identical to
-/// the scalar world); later replicas get independent streams via a
-/// splitmix64 scramble of `base + index`. Earlier batching attempts that
-/// derived replica RNGs by cloning the parent's generator coupled adjacent
-/// worlds' spawn jitter — this function is the contract that prevents that
-/// (pinned by the `replicas_draw_independent_streams` regression test).
+/// World 0 keeps the base seed (so it is the [`LaneChangeEnv`] built with
+/// the same seed); later worlds get independent streams via a splitmix64
+/// scramble of `base + index`. Earlier batching attempts that derived
+/// replica RNGs by cloning the parent's generator coupled adjacent
+/// worlds' spawn jitter — this function is the contract that prevents
+/// that (pinned by the `replicas_draw_independent_streams` regression
+/// test).
 pub fn replica_seed(base: u64, index: usize) -> u64 {
     if index == 0 {
         return base;
@@ -220,38 +215,22 @@ pub fn replica_seed(base: u64, index: usize) -> u64 {
 }
 
 impl LaneChangeEnv {
-    /// Creates an environment; call [`LaneChangeEnv::reset`] before
-    /// stepping.
+    /// Creates an environment, reset once; call [`LaneChangeEnv::reset`]
+    /// to start each further episode.
     ///
     /// # Panics
     ///
     /// Panics when `spawns` is empty or a spawn lane is out of range.
     pub fn new(cfg: EnvConfig, spawns: Vec<VehicleSpawn>, seed: u64) -> Self {
-        assert!(!spawns.is_empty(), "environment needs at least one vehicle");
-        for sp in &spawns {
-            assert!(sp.lane < cfg.track.num_lanes, "spawn lane out of range");
-        }
-        let n = spawns.len();
-        let mut env = Self {
-            cfg,
-            spawns,
-            vehicles: Vec::new(),
-            executor: ScriptedExecutor::new(),
-            rng: StdRng::seed_from_u64(seed),
+        Self {
+            world: BatchWorld::new(cfg, spawns, seed, 1),
             seed,
-            step_count: 0,
-            done: true,
-            initial_lanes: vec![0; n],
-            needs_merge: vec![false; n],
-            collided: vec![false; n],
-        };
-        env.reset();
-        env
+        }
     }
 
     /// Environment configuration.
     pub fn config(&self) -> &EnvConfig {
-        &self.cfg
+        self.world.config()
     }
 
     /// The seed this environment was constructed with. Note the RNG
@@ -263,30 +242,17 @@ impl LaneChangeEnv {
 
     /// The spawn table driving each reset.
     pub fn spawns(&self) -> &[VehicleSpawn] {
-        &self.spawns
-    }
-
-    /// Builds replica `index` of this environment: same config and spawn
-    /// table, but an independently seeded RNG stream per
-    /// [`replica_seed`]. Replica 0 reproduces this environment as freshly
-    /// constructed (not its current mid-stream state).
-    pub fn replica(&self, index: usize) -> LaneChangeEnv {
-        LaneChangeEnv::new(self.cfg, self.spawns.clone(), replica_seed(self.seed, index))
+        self.world.spawns()
     }
 
     /// Number of vehicles (learners + scripted).
     pub fn num_vehicles(&self) -> usize {
-        self.spawns.len()
+        self.world.num_vehicles()
     }
 
     /// Indices of the learner-controlled vehicles.
     pub fn learner_indices(&self) -> Vec<usize> {
-        self.spawns
-            .iter()
-            .enumerate()
-            .filter(|(_, sp)| matches!(sp.role, VehicleRole::Learner))
-            .map(|(i, _)| i)
-            .collect()
+        self.world.learner_indices()
     }
 
     /// Current kinematic state of vehicle `i`.
@@ -294,102 +260,41 @@ impl LaneChangeEnv {
     /// # Panics
     ///
     /// Panics when `i` is out of range.
-    pub fn vehicle_state(&self, i: usize) -> &VehicleState {
-        &self.vehicles[i]
+    pub fn vehicle_state(&self, i: usize) -> VehicleState {
+        self.world.vehicle_state(0, i)
     }
 
     /// Whether the current episode has ended.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.world.is_done(0)
     }
 
     /// Steps taken in the current episode.
     pub fn step_count(&self) -> usize {
-        self.step_count
+        self.world.step_count(0)
     }
 
     /// Whether vehicle `i` started this episode behind slower scripted
     /// traffic in its own lane — i.e. it must merge to make progress.
     pub fn needs_merge(&self, i: usize) -> bool {
-        self.needs_merge[i]
+        self.world.needs_merge(0, i)
     }
 
     /// Whether vehicle `i` has left its initial lane without colliding —
     /// the paper's "successful merge".
     pub fn has_merged(&self, i: usize) -> bool {
-        !self.collided[i] && self.vehicles[i].lane(&self.cfg.track) != self.initial_lanes[i]
+        self.world.has_merged(0, i)
     }
 
     /// Whether vehicle `i` has collided this episode.
     pub fn has_collided(&self, i: usize) -> bool {
-        self.collided[i]
+        self.world.has_collided(0, i)
     }
 
     /// Starts a new episode (re-randomizing jittered spawn positions) and
     /// returns the initial observations.
     pub fn reset(&mut self) -> Vec<Observation> {
-        let num_lanes = self.cfg.track.num_lanes;
-        let rng = &mut self.rng;
-        let cfg = &self.cfg;
-        self.vehicles = self
-            .spawns
-            .iter()
-            .map(|sp| {
-                let jitter = if sp.s_jitter > 0.0 {
-                    rng.gen_range(-sp.s_jitter..sp.s_jitter)
-                } else {
-                    0.0
-                };
-                let lane = if sp.random_lane {
-                    rng.gen_range(0..num_lanes)
-                } else {
-                    sp.lane
-                };
-                VehicleState {
-                    s: cfg.track.wrap(sp.s + jitter),
-                    d: cfg.track.lane_center(lane),
-                    heading: 0.0,
-                    speed: sp.speed,
-                }
-            })
-            .collect();
-        self.step_count = 0;
-        self.done = false;
-        self.initial_lanes = self
-            .vehicles
-            .iter()
-            .map(|v| v.lane(&self.cfg.track))
-            .collect();
-        self.collided = vec![false; self.vehicles.len()];
-        self.needs_merge = self.compute_needs_merge();
-        (0..self.vehicles.len()).map(|i| self.observe(i)).collect()
-    }
-
-    fn compute_needs_merge(&self) -> Vec<bool> {
-        const LOOKAHEAD: f32 = 2.5;
-        self.spawns
-            .iter()
-            .enumerate()
-            .map(|(i, sp)| {
-                if !matches!(sp.role, VehicleRole::Learner) {
-                    return false;
-                }
-                self.spawns.iter().enumerate().any(|(j, other)| {
-                    i != j
-                        && self.vehicles[j].lane(&self.cfg.track)
-                            == self.vehicles[i].lane(&self.cfg.track)
-                        && other.speed < sp.speed
-                        && matches!(other.role, VehicleRole::Scripted { .. })
-                        && {
-                            let gap = self
-                                .cfg
-                                .track
-                                .signed_delta(self.vehicles[i].s, self.vehicles[j].s);
-                            gap > 0.0 && gap <= LOOKAHEAD
-                        }
-                })
-            })
-            .collect()
+        self.world.reset_world(0)
     }
 
     /// Renders the observation of vehicle `i` from the current state.
@@ -397,27 +302,12 @@ impl LaneChangeEnv {
     /// # Panics
     ///
     /// Panics when `i` is out of range.
-    pub fn observe(&self, i: usize) -> Observation {
-        hero_telemetry::counter_add("lidar_scans", 1);
-        hero_telemetry::counter_add("camera_frames", 1);
-        let v = &self.vehicles[i];
-        Observation {
-            lidar: lidar_scan(i, &self.vehicles, &self.cfg.vehicle, &self.cfg.track, &self.cfg.lidar),
-            image: camera_image(
-                i,
-                &self.vehicles,
-                &self.cfg.vehicle,
-                &self.cfg.track,
-                &self.cfg.camera,
-            ),
-            speed_norm: v.speed / self.cfg.vehicle.max_speed,
-            lane_norm: v.lane(&self.cfg.track) as f32 / self.cfg.track.num_lanes as f32,
-            lane_id: v.lane(&self.cfg.track),
-            speed: v.speed,
-        }
+    pub fn observe(&mut self, i: usize) -> Observation {
+        self.world.observe(0, i)
     }
 
-    /// Advances the world one control period.
+    /// Advances the world one control period (see
+    /// [`BatchWorld::step_worlds`]).
     ///
     /// `commands` must hold one entry per vehicle; entries for scripted
     /// vehicles are ignored (they drive themselves).
@@ -427,100 +317,56 @@ impl LaneChangeEnv {
     /// Panics when `commands.len() != num_vehicles()` or when called after
     /// the episode ended (check [`LaneChangeEnv::is_done`]).
     pub fn step(&mut self, commands: &[VehicleCommand]) -> StepOutcome {
-        let _step_span = hero_telemetry::span("env_step");
-        hero_telemetry::counter_add("env_steps", 1);
-        assert_eq!(
-            commands.len(),
-            self.vehicles.len(),
-            "one command per vehicle required"
-        );
-        assert!(!self.done, "step() called on a finished episode");
-
-        let before_s: Vec<f32> = self.vehicles.iter().map(|v| v.s).collect();
-        for (i, v) in self.vehicles.iter_mut().enumerate() {
-            let cmd = match self.spawns[i].role {
-                VehicleRole::Learner => commands[i],
-                VehicleRole::Scripted { speed } => {
-                    let mut c = self.executor.command(DrivingOption::KeepLane, v, &self.cfg.track);
-                    c.linear = speed;
-                    c
-                }
-            };
-            v.step(cmd, &self.cfg.vehicle, &self.cfg.track, self.cfg.dt);
-        }
-        self.step_count += 1;
-
-        let collisions = self.detect_collisions();
-        for (c, flag) in self.collided.iter_mut().zip(&collisions) {
-            *c |= flag;
-        }
-        let any_collision = collisions.iter().any(|&c| c);
-        self.done = any_collision || self.step_count >= self.cfg.max_steps;
-
-        let rewards: Vec<f32> = (0..self.vehicles.len())
-            .map(|i| {
-                let travel = self
-                    .cfg
-                    .track
-                    .signed_delta(before_s[i], self.vehicles[i].s)
-                    .max(0.0)
-                    / (self.cfg.vehicle.max_speed * self.cfg.dt);
-                let col = if any_collision {
-                    self.cfg.collision_penalty
-                } else {
-                    0.0
-                };
-                self.cfg.alpha * col + (1.0 - self.cfg.alpha) * travel
-            })
-            .collect();
-
-        let mean_speed =
-            self.vehicles.iter().map(|v| v.speed).sum::<f32>() / self.vehicles.len() as f32;
-
-        let observations = {
-            let _sensor_span = hero_telemetry::span("sensors");
-            (0..self.vehicles.len()).map(|i| self.observe(i)).collect()
-        };
-        StepOutcome {
-            observations,
-            rewards,
-            collisions,
-            done: self.done,
-            mean_speed,
-        }
+        self.world
+            .step_worlds(&[0], &[commands])
+            .pop()
+            .expect("one world stepped")
     }
+}
 
-    fn detect_collisions(&self) -> Vec<bool> {
-        let n = self.vehicles.len();
-        let mut hit = vec![false; n];
-        let track = &self.cfg.track;
-        let params = &self.cfg.vehicle;
-        for i in 0..n {
-            // Wall collision: any part of the body outside the drivable
-            // area.
-            let half_w = params.width / 2.0 + params.length / 2.0 * self.vehicles[i].heading.sin().abs();
-            let d = self.vehicles[i].d;
-            if d - half_w < 0.0 || d + half_w > track.width() {
-                hit[i] = true;
-            }
-        }
-        for i in 0..n {
-            let obb_i = self.vehicles[i].obb_relative(self.vehicles[i].s, params, track);
-            for j in (i + 1)..n {
-                let obb_j = self.vehicles[j].obb_relative(self.vehicles[i].s, params, track);
-                if obb_i.intersects(&obb_j) {
-                    hit[i] = true;
-                    hit[j] = true;
-                }
-            }
-        }
-        hit
+impl CooperativeWorld for LaneChangeEnv {
+    fn reset(&mut self) -> Vec<Observation> {
+        LaneChangeEnv::reset(self)
+    }
+    fn step(&mut self, commands: &[VehicleCommand]) -> StepOutcome {
+        LaneChangeEnv::step(self, commands)
+    }
+    fn is_done(&self) -> bool {
+        LaneChangeEnv::is_done(self)
+    }
+    fn num_vehicles(&self) -> usize {
+        LaneChangeEnv::num_vehicles(self)
+    }
+    fn learner_indices(&self) -> Vec<usize> {
+        LaneChangeEnv::learner_indices(self)
+    }
+    fn vehicle_state(&self, i: usize) -> VehicleState {
+        LaneChangeEnv::vehicle_state(self, i)
+    }
+    fn needs_merge(&self, i: usize) -> bool {
+        LaneChangeEnv::needs_merge(self, i)
+    }
+    fn has_merged(&self, i: usize) -> bool {
+        LaneChangeEnv::has_merged(self, i)
+    }
+    fn has_collided(&self, i: usize) -> bool {
+        LaneChangeEnv::has_collided(self, i)
+    }
+    fn config(&self) -> &EnvConfig {
+        LaneChangeEnv::config(self)
+    }
+    fn rng_state(&self) -> Vec<u64> {
+        self.world.rng_state(0)
+    }
+    fn set_rng_state(&mut self, state: &[u64]) {
+        self.world.set_rng_state(0, state);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sensors::{CAMERA_OFF_TRACK, CAMERA_VEHICLE};
 
     fn two_car_spawns() -> Vec<VehicleSpawn> {
         vec![
@@ -541,6 +387,17 @@ mod tests {
                 role: VehicleRole::Learner,
             },
         ]
+    }
+
+    fn spawn_at(lane: usize, s: f32, speed: f32) -> VehicleSpawn {
+        VehicleSpawn {
+            lane,
+            random_lane: false,
+            s,
+            s_jitter: 0.0,
+            speed,
+            role: VehicleRole::Learner,
+        }
     }
 
     fn coast_all(env: &LaneChangeEnv) -> Vec<VehicleCommand> {
@@ -631,10 +488,7 @@ mod tests {
             if env.is_done() {
                 break;
             }
-            let out = env.step(&[
-                VehicleCommand::new(0.2, 0.0),
-                VehicleCommand::new(0.0, 0.0),
-            ]);
+            let out = env.step(&[VehicleCommand::new(0.2, 0.0), VehicleCommand::new(0.0, 0.0)]);
             if out.collisions.iter().any(|&c| c) {
                 collided = true;
                 assert!(out.rewards[0] < 0.0, "collision must be penalized");
@@ -761,17 +615,94 @@ mod tests {
     #[test]
     fn observations_have_configured_dims() {
         let cfg = EnvConfig::default();
-        let env = LaneChangeEnv::new(cfg, two_car_spawns(), 0);
+        let mut env = LaneChangeEnv::new(cfg, two_car_spawns(), 0);
         let obs = env.observe(0);
         assert_eq!(obs.high_vec().len(), cfg.high_dim());
         assert_eq!(obs.low_flat_vec().len(), cfg.low_dim());
     }
 
     #[test]
+    fn lidar_alone_reads_the_walls_only() {
+        let cfg = EnvConfig::default();
+        let mut env = LaneChangeEnv::new(cfg, vec![spawn_at(1, 0.0, 0.1)], 0);
+        let scan = env.observe(0).lidar;
+        let beams = cfg.lidar.beams;
+        assert_eq!(scan.len(), beams);
+        // Beam 0 looks straight ahead: nothing within range.
+        assert_eq!(scan[0], 1.0);
+        // From d = 0.6 on the 0.8 m track, the beam a quarter turn round
+        // hits the outer wall 0.2 m away, the one three quarters round the
+        // inner wall 0.6 m away.
+        assert!((scan[beams / 4] - 0.2 / cfg.lidar.max_range).abs() < 1e-4);
+        assert!((scan[3 * beams / 4] - 0.6 / cfg.lidar.max_range).abs() < 1e-4);
+        assert!(scan.iter().all(|&v| (0.0..=1.0).contains(&v)));
+    }
+
+    #[test]
+    fn lidar_sees_the_vehicle_ahead_across_the_seam() {
+        let cfg = EnvConfig::default();
+        let ahead = vec![spawn_at(0, 0.0, 0.1), spawn_at(0, 1.0, 0.1)];
+        let mut env = LaneChangeEnv::new(cfg, ahead, 0);
+        // The front beam hits the other vehicle's rear face.
+        let expected = (1.0 - cfg.vehicle.length / 2.0) / cfg.lidar.max_range;
+        let front = env.observe(0).lidar[0];
+        assert!((front - expected).abs() < 1e-3, "front beam {front}");
+        // A vehicle just past the loop's seam is as visible.
+        let across = vec![spawn_at(0, 11.8, 0.1), spawn_at(0, 0.3, 0.1)];
+        let mut env = LaneChangeEnv::new(cfg, across, 0);
+        let front = env.observe(0).lidar[0];
+        assert!(front < 0.25, "front beam {front}");
+    }
+
+    #[test]
+    fn camera_marks_vehicles_and_off_track_cells() {
+        let cfg = EnvConfig::default();
+        let mut env =
+            LaneChangeEnv::new(cfg, vec![spawn_at(0, 0.0, 0.1), spawn_at(0, 0.9, 0.1)], 0);
+        let img = env.observe(0).image;
+        assert_eq!(img.len(), cfg.camera.image_len());
+        assert!(img.contains(&CAMERA_VEHICLE), "the vehicle ahead must show");
+        // From d = 0.2 the window reaches d = -0.4, off the track.
+        assert!(img.contains(&CAMERA_OFF_TRACK));
+    }
+
+    #[test]
+    fn camera_is_empty_alone_mid_track() {
+        let cfg = EnvConfig {
+            track: Track::new(12.0, 0.4, 4),
+            camera: CameraConfig {
+                lateral_half: 0.5,
+                ..CameraConfig::default()
+            },
+            ..EnvConfig::default()
+        };
+        // Lane 1 is centered at d = 0.6: the window spans d in
+        // [0.1, 1.1] of the 1.6 m track.
+        let mut env = LaneChangeEnv::new(cfg, vec![spawn_at(1, 0.0, 0.1)], 0);
+        assert!(env.observe(0).image.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn camera_turns_with_the_heading() {
+        // Two twin worlds, stopped: steering turns one ego on the spot.
+        let cfg = EnvConfig::default();
+        let spawns = vec![spawn_at(0, 0.0, 0.0), spawn_at(0, 0.9, 0.0)];
+        let mut straight = LaneChangeEnv::new(cfg, spawns.clone(), 0);
+        let mut turned = LaneChangeEnv::new(cfg, spawns, 0);
+        let still = VehicleCommand::new(0.0, 0.0);
+        let a = straight.step(&[still, still]);
+        let b = turned.step(&[VehicleCommand::new(0.0, 0.3), still]);
+        assert_eq!(turned.vehicle_state(0).s, straight.vehicle_state(0).s);
+        assert!(turned.vehicle_state(0).heading > 0.0);
+        assert_ne!(a.observations[0].image, b.observations[0].image);
+    }
+
+    #[test]
     fn replicas_draw_independent_streams() {
-        // Regression: replicas of a jittered world must not share (or
-        // couple) RNG streams. Replica 0 reproduces the base world;
-        // replicas 1.. draw distinct spawn jitter from their own seeds.
+        // Regression: the worlds of a jittered batch must not share (or
+        // couple) RNG streams. World 0 is the environment built with the
+        // same seed; worlds 1.. draw distinct spawn jitter from their own
+        // seeds.
         let spawns = vec![VehicleSpawn {
             lane: 0,
             random_lane: false,
@@ -780,14 +711,12 @@ mod tests {
             speed: 0.1,
             role: VehicleRole::Learner,
         }];
-        let base = LaneChangeEnv::new(EnvConfig::default(), spawns, 9);
-        let r0 = base.replica(0);
-        let r1 = base.replica(1);
-        let r2 = base.replica(2);
-        assert_eq!(r0.vehicle_state(0).s.to_bits(), base.vehicle_state(0).s.to_bits());
+        let base = LaneChangeEnv::new(EnvConfig::default(), spawns.clone(), 9);
+        let worlds = BatchWorld::new(EnvConfig::default(), spawns, 9, 3);
+        let positions = [0, 1, 2].map(|w| worlds.vehicle_state(w, 0).s);
+        assert_eq!(positions[0].to_bits(), base.vehicle_state(0).s.to_bits());
         assert_eq!(replica_seed(9, 0), 9);
         assert_ne!(replica_seed(9, 1), replica_seed(9, 2));
-        let positions = [r0.vehicle_state(0).s, r1.vehicle_state(0).s, r2.vehicle_state(0).s];
         assert_ne!(positions[0].to_bits(), positions[1].to_bits());
         assert_ne!(positions[1].to_bits(), positions[2].to_bits());
     }
@@ -808,47 +737,6 @@ mod tests {
             let oa = a.reset();
             let ob = b.reset();
             assert_eq!(oa, ob);
-        }
-    }
-}
-
-impl CooperativeWorld for LaneChangeEnv {
-    fn reset(&mut self) -> Vec<Observation> {
-        LaneChangeEnv::reset(self)
-    }
-    fn step(&mut self, commands: &[VehicleCommand]) -> StepOutcome {
-        LaneChangeEnv::step(self, commands)
-    }
-    fn is_done(&self) -> bool {
-        LaneChangeEnv::is_done(self)
-    }
-    fn num_vehicles(&self) -> usize {
-        LaneChangeEnv::num_vehicles(self)
-    }
-    fn learner_indices(&self) -> Vec<usize> {
-        LaneChangeEnv::learner_indices(self)
-    }
-    fn vehicle_state(&self, i: usize) -> VehicleState {
-        *LaneChangeEnv::vehicle_state(self, i)
-    }
-    fn needs_merge(&self, i: usize) -> bool {
-        LaneChangeEnv::needs_merge(self, i)
-    }
-    fn has_merged(&self, i: usize) -> bool {
-        LaneChangeEnv::has_merged(self, i)
-    }
-    fn has_collided(&self, i: usize) -> bool {
-        LaneChangeEnv::has_collided(self, i)
-    }
-    fn config(&self) -> &EnvConfig {
-        LaneChangeEnv::config(self)
-    }
-    fn rng_state(&self) -> Vec<u64> {
-        self.rng.state().to_vec()
-    }
-    fn set_rng_state(&mut self, state: &[u64]) {
-        if let Ok(words) = <[u64; 4]>::try_from(state) {
-            self.rng = StdRng::from_state(words);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Minimal 2D geometry: vectors, oriented bounding boxes, ray casting.
+//! Minimal 2D geometry: the vector type the simulator's kernels use.
 //!
 //! The simulator works in a "straightened" Frenet frame — `x` is the
 //! longitudinal coordinate along the track (wrapped by the caller) and `y`
@@ -24,11 +24,6 @@ impl Vec2 {
         self.x * other.x + self.y * other.y
     }
 
-    /// Euclidean length.
-    pub fn norm(self) -> f32 {
-        self.dot(self).sqrt()
-    }
-
     /// Component-wise subtraction.
     pub fn sub(self, other: Vec2) -> Vec2 {
         Vec2::new(self.x - other.x, self.y - other.y)
@@ -51,126 +46,6 @@ impl Vec2 {
     }
 }
 
-/// An oriented bounding box: center, half extents, heading.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Obb {
-    /// Center point.
-    pub center: Vec2,
-    /// Half length along the heading axis.
-    pub half_len: f32,
-    /// Half width perpendicular to the heading axis.
-    pub half_wid: f32,
-    /// Heading angle in radians (0 = +x).
-    pub heading: f32,
-}
-
-impl Obb {
-    /// Creates an OBB.
-    pub fn new(center: Vec2, half_len: f32, half_wid: f32, heading: f32) -> Self {
-        Self {
-            center,
-            half_len,
-            half_wid,
-            heading,
-        }
-    }
-
-    /// The four corners, counter-clockwise.
-    pub fn corners(&self) -> [Vec2; 4] {
-        let u = Vec2::new(1.0, 0.0).rotated(self.heading).scale(self.half_len);
-        let v = Vec2::new(0.0, 1.0).rotated(self.heading).scale(self.half_wid);
-        [
-            self.center.add(u).add(v),
-            self.center.add(u).sub(v),
-            self.center.sub(u).sub(v),
-            self.center.sub(u).add(v),
-        ]
-    }
-
-    /// The two local axes (unit vectors along length and width).
-    fn axes(&self) -> [Vec2; 2] {
-        [
-            Vec2::new(1.0, 0.0).rotated(self.heading),
-            Vec2::new(0.0, 1.0).rotated(self.heading),
-        ]
-    }
-
-    /// Whether two OBBs overlap (separating-axis test).
-    pub fn intersects(&self, other: &Obb) -> bool {
-        let axes = [self.axes(), other.axes()].concat();
-        let ca = self.corners();
-        let cb = other.corners();
-        for axis in axes {
-            let (mut amin, mut amax) = (f32::INFINITY, f32::NEG_INFINITY);
-            for c in &ca {
-                let p = c.dot(axis);
-                amin = amin.min(p);
-                amax = amax.max(p);
-            }
-            let (mut bmin, mut bmax) = (f32::INFINITY, f32::NEG_INFINITY);
-            for c in &cb {
-                let p = c.dot(axis);
-                bmin = bmin.min(p);
-                bmax = bmax.max(p);
-            }
-            if amax < bmin || bmax < amin {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Whether a point lies inside the box.
-    pub fn contains(&self, p: Vec2) -> bool {
-        let rel = p.sub(self.center).rotated(-self.heading);
-        rel.x.abs() <= self.half_len && rel.y.abs() <= self.half_wid
-    }
-
-    /// Distance along a ray (origin + t·dir, `dir` unit length) to the first
-    /// intersection with this box, if any intersection with `t >= 0` exists.
-    ///
-    /// Implemented as a slab test in the box's local frame.
-    pub fn ray_intersection(&self, origin: Vec2, dir: Vec2) -> Option<f32> {
-        let o = origin.sub(self.center).rotated(-self.heading);
-        let d = dir.rotated(-self.heading);
-        let mut t_min = f32::NEG_INFINITY;
-        let mut t_max = f32::INFINITY;
-        for (oc, dc, half) in [(o.x, d.x, self.half_len), (o.y, d.y, self.half_wid)] {
-            if dc.abs() < 1e-9 {
-                if oc.abs() > half {
-                    return None;
-                }
-            } else {
-                let t1 = (-half - oc) / dc;
-                let t2 = (half - oc) / dc;
-                let (lo, hi) = if t1 < t2 { (t1, t2) } else { (t2, t1) };
-                t_min = t_min.max(lo);
-                t_max = t_max.min(hi);
-                if t_min > t_max {
-                    return None;
-                }
-            }
-        }
-        if t_max < 0.0 {
-            None
-        } else if t_min >= 0.0 {
-            Some(t_min)
-        } else {
-            // Ray starts inside the box.
-            Some(0.0)
-        }
-    }
-}
-
-/// Distance along a ray to a horizontal line `y = line_y`, if hit forward.
-pub fn ray_to_horizontal_line(origin: Vec2, dir: Vec2, line_y: f32) -> Option<f32> {
-    if dir.y.abs() < 1e-9 {
-        return None;
-    }
-    let t = (line_y - origin.y) / dir.y;
-    (t >= 0.0).then_some(t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,84 +54,5 @@ mod tests {
     fn vec2_rotation_quarter_turn() {
         let v = Vec2::new(1.0, 0.0).rotated(std::f32::consts::FRAC_PI_2);
         assert!((v.x).abs() < 1e-6 && (v.y - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn obb_contains_center_and_not_far_point() {
-        let b = Obb::new(Vec2::new(1.0, 1.0), 0.5, 0.25, 0.3);
-        assert!(b.contains(Vec2::new(1.0, 1.0)));
-        assert!(!b.contains(Vec2::new(3.0, 3.0)));
-    }
-
-    #[test]
-    fn aligned_boxes_overlap_iff_close() {
-        let a = Obb::new(Vec2::new(0.0, 0.0), 0.5, 0.25, 0.0);
-        let near = Obb::new(Vec2::new(0.8, 0.0), 0.5, 0.25, 0.0);
-        let far = Obb::new(Vec2::new(1.2, 0.0), 0.5, 0.25, 0.0);
-        assert!(a.intersects(&near));
-        assert!(!a.intersects(&far));
-    }
-
-    #[test]
-    fn intersection_is_symmetric() {
-        let a = Obb::new(Vec2::new(0.0, 0.0), 0.5, 0.25, 0.4);
-        let b = Obb::new(Vec2::new(0.6, 0.2), 0.5, 0.25, -0.2);
-        assert_eq!(a.intersects(&b), b.intersects(&a));
-    }
-
-    #[test]
-    fn rotated_boxes_corner_case() {
-        // Two boxes whose AABBs overlap but whose OBBs do not (diagonal gap).
-        let a = Obb::new(Vec2::new(0.0, 0.0), 1.0, 0.1, std::f32::consts::FRAC_PI_4);
-        let b = Obb::new(Vec2::new(0.9, -0.9), 1.0, 0.1, std::f32::consts::FRAC_PI_4);
-        assert!(!a.intersects(&b));
-    }
-
-    #[test]
-    fn ray_hits_box_ahead() {
-        let b = Obb::new(Vec2::new(2.0, 0.0), 0.5, 0.5, 0.0);
-        let t = b
-            .ray_intersection(Vec2::new(0.0, 0.0), Vec2::new(1.0, 0.0))
-            .unwrap();
-        assert!((t - 1.5).abs() < 1e-5);
-    }
-
-    #[test]
-    fn ray_misses_box_behind() {
-        let b = Obb::new(Vec2::new(-2.0, 0.0), 0.5, 0.5, 0.0);
-        assert!(b
-            .ray_intersection(Vec2::new(0.0, 0.0), Vec2::new(1.0, 0.0))
-            .is_none());
-    }
-
-    #[test]
-    fn ray_from_inside_reports_zero() {
-        let b = Obb::new(Vec2::new(0.0, 0.0), 1.0, 1.0, 0.0);
-        let t = b
-            .ray_intersection(Vec2::new(0.0, 0.0), Vec2::new(1.0, 0.0))
-            .unwrap();
-        assert_eq!(t, 0.0);
-    }
-
-    #[test]
-    fn ray_to_wall() {
-        let t = ray_to_horizontal_line(Vec2::new(0.0, 0.2), Vec2::new(0.0, 1.0), 0.8).unwrap();
-        assert!((t - 0.6).abs() < 1e-6);
-        assert!(ray_to_horizontal_line(Vec2::new(0.0, 0.2), Vec2::new(1.0, 0.0), 0.8).is_none());
-    }
-
-    #[test]
-    fn ray_against_rotated_box() {
-        let b = Obb::new(
-            Vec2::new(1.0, 1.0),
-            0.5,
-            0.1,
-            std::f32::consts::FRAC_PI_4,
-        );
-        let dir = Vec2::new(1.0, 1.0).scale(1.0 / 2f32.sqrt());
-        let t = b.ray_intersection(Vec2::new(0.0, 0.0), dir);
-        assert!(t.is_some());
-        // The box center is sqrt(2) away; first hit must be closer.
-        assert!(t.unwrap() < 2f32.sqrt());
     }
 }

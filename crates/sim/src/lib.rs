@@ -6,9 +6,12 @@
 //!
 //! The world is a closed multi-lane loop in Frenet coordinates. Vehicles
 //! follow unicycle kinematics driven by continuous `(linear, angular)`
-//! speed commands, sense through a 360° ray-cast [lidar](sensors::lidar_scan)
-//! and a forward [occupancy camera](sensors::camera_image), and collide via
-//! oriented-bounding-box tests. The [`env::LaneChangeEnv`] implements the
+//! speed commands, sense through a 360° ray-cast
+//! [lidar](sensors::LidarConfig) and a forward
+//! [occupancy camera](sensors::CameraConfig), and collide via
+//! oriented-bounding-box tests. [`batch::BatchWorld`] is the one
+//! implementation of all three and steps any number of worlds at once.
+//! The [`env::LaneChangeEnv`] handle over one of its worlds implements the
 //! paper's state/option/reward design; [`skill_env::SkillEnv`] trains the
 //! low-level skills on the paper's intrinsic rewards; and
 //! [`sim2real::SimToRealEnv`] reproduces the real-world-testbed protocol

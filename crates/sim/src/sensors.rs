@@ -3,14 +3,11 @@
 //!
 //! The paper's high-level state is `[lidar, speed, laneID]` and its
 //! low-level state is `[image, speed, laneID]` (Sec. IV-B/IV-C). The lidar
-//! here casts `beams` rays against other vehicles' bounding boxes and the
-//! track walls; the camera rasterizes a forward window into an occupancy
-//! grid that stands in for the testbed's RGB camera after the paper's
-//! convolutional encoding.
-
-use crate::geometry::{ray_to_horizontal_line, Vec2};
-use crate::track::Track;
-use crate::vehicle::{VehicleParams, VehicleState};
+//! casts `beams` rays against other vehicles' bounding boxes and the track
+//! walls; the camera rasterizes a forward window into an occupancy grid
+//! that stands in for the testbed's RGB camera after the paper's
+//! convolutional encoding. Both render in [`crate::batch::BatchWorld`];
+//! this module holds their configuration and the camera's cell values.
 
 /// Configuration of the ray-cast lidar.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -28,48 +25,6 @@ impl Default for LidarConfig {
             max_range: 2.0,
         }
     }
-}
-
-/// Casts the lidar for vehicle `ego` against every other vehicle and the
-/// two track walls, returning `beams` normalized distances in `[0, 1]`
-/// (1 = nothing within range).
-///
-/// Beam 0 points along the vehicle's heading; beams proceed
-/// counter-clockwise.
-pub fn lidar_scan(
-    ego: usize,
-    vehicles: &[VehicleState],
-    params: &VehicleParams,
-    track: &Track,
-    cfg: &LidarConfig,
-) -> Vec<f32> {
-    let me = &vehicles[ego];
-    let origin = Vec2::new(0.0, me.d);
-    let obstacles: Vec<_> = vehicles
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != ego)
-        .map(|(_, v)| v.obb_relative(me.s, params, track))
-        .collect();
-
-    let mut out = Vec::with_capacity(cfg.beams);
-    for b in 0..cfg.beams {
-        let angle = me.heading + b as f32 / cfg.beams as f32 * std::f32::consts::TAU;
-        let dir = Vec2::new(angle.cos(), angle.sin());
-        let mut nearest = cfg.max_range;
-        for obb in &obstacles {
-            if let Some(t) = obb.ray_intersection(origin, dir) {
-                nearest = nearest.min(t);
-            }
-        }
-        for wall in [0.0, track.width()] {
-            if let Some(t) = ray_to_horizontal_line(origin, dir, wall) {
-                nearest = nearest.min(t);
-            }
-        }
-        out.push(nearest / cfg.max_range);
-    }
-    out
 }
 
 /// Configuration of the forward occupancy camera.
@@ -107,148 +62,3 @@ impl CameraConfig {
 pub const CAMERA_OFF_TRACK: f32 = 0.5;
 /// Cell value for another vehicle.
 pub const CAMERA_VEHICLE: f32 = 1.0;
-
-/// Rasterizes the forward window of vehicle `ego` into a `rows × cols`
-/// occupancy grid (row 0 nearest the vehicle), flattened row-major.
-///
-/// Cells covered by another vehicle read [`CAMERA_VEHICLE`]; cells outside
-/// the drivable area read [`CAMERA_OFF_TRACK`]; free track reads `0`.
-pub fn camera_image(
-    ego: usize,
-    vehicles: &[VehicleState],
-    params: &VehicleParams,
-    track: &Track,
-    cfg: &CameraConfig,
-) -> Vec<f32> {
-    let me = &vehicles[ego];
-    let obstacles: Vec<_> = vehicles
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != ego)
-        .map(|(_, v)| v.obb_relative(me.s, params, track))
-        .collect();
-
-    let mut img = vec![0.0f32; cfg.rows * cfg.cols];
-    let cell_f = cfg.forward_range / cfg.rows as f32;
-    let cell_l = 2.0 * cfg.lateral_half / cfg.cols as f32;
-    for r in 0..cfg.rows {
-        // Sample the cell center, in the ego's heading-aligned frame.
-        let fwd = (r as f32 + 0.5) * cell_f;
-        for c in 0..cfg.cols {
-            let lat = -cfg.lateral_half + (c as f32 + 0.5) * cell_l;
-            let p_local = Vec2::new(fwd, lat).rotated(me.heading);
-            let p = Vec2::new(p_local.x, me.d + p_local.y);
-            let mut v = 0.0;
-            if !track.contains_lateral(p.y) {
-                v = CAMERA_OFF_TRACK;
-            }
-            for obb in &obstacles {
-                if obb.contains(p) {
-                    v = CAMERA_VEHICLE;
-                    break;
-                }
-            }
-            img[r * cfg.cols + c] = v;
-        }
-    }
-    img
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn straight(s: f32, d: f32) -> VehicleState {
-        VehicleState {
-            s,
-            d,
-            heading: 0.0,
-            speed: 0.1,
-        }
-    }
-
-    #[test]
-    fn lidar_all_clear_reads_walls_only() {
-        let t = Track::double_lane();
-        let p = VehicleParams::default();
-        let cfg = LidarConfig::default();
-        let scan = lidar_scan(0, &[straight(0.0, 0.4)], &p, &t, &cfg);
-        assert_eq!(scan.len(), cfg.beams);
-        // Beam 0 looks straight ahead: nothing for max_range.
-        assert!((scan[0] - 1.0).abs() < 1e-6);
-        // The beam pointing straight up (quarter of the beams around) hits
-        // the outer wall at 0.4 m -> 0.2 normalized.
-        let up = cfg.beams / 4;
-        assert!((scan[up] - 0.4 / cfg.max_range).abs() < 1e-4);
-        // All values normalized.
-        assert!(scan.iter().all(|&v| (0.0..=1.0).contains(&v)));
-    }
-
-    #[test]
-    fn lidar_sees_vehicle_ahead() {
-        let t = Track::double_lane();
-        let p = VehicleParams::default();
-        let cfg = LidarConfig::default();
-        let vs = [straight(0.0, 0.2), straight(1.0, 0.2)];
-        let scan = lidar_scan(0, &vs, &p, &t, &cfg);
-        // Front beam hits the other vehicle's rear face at 1.0 - 0.125.
-        let expected = (1.0 - p.length / 2.0) / cfg.max_range;
-        assert!((scan[0] - expected).abs() < 1e-3, "scan[0] = {}", scan[0]);
-    }
-
-    #[test]
-    fn lidar_sees_across_wraparound() {
-        let t = Track::double_lane();
-        let p = VehicleParams::default();
-        let cfg = LidarConfig::default();
-        let vs = [straight(11.8, 0.2), straight(0.3, 0.2)];
-        let scan = lidar_scan(0, &vs, &p, &t, &cfg);
-        assert!(
-            scan[0] < 0.25,
-            "vehicle just past the wrap must be visible, scan[0] = {}",
-            scan[0]
-        );
-    }
-
-    #[test]
-    fn camera_marks_vehicle_and_off_track() {
-        let t = Track::double_lane();
-        let p = VehicleParams::default();
-        let cfg = CameraConfig::default();
-        let vs = [straight(0.0, 0.2), straight(0.9, 0.2)];
-        let img = camera_image(0, &vs, &p, &t, &cfg);
-        assert_eq!(img.len(), cfg.image_len());
-        assert!(
-            img.iter().any(|&v| v == CAMERA_VEHICLE),
-            "vehicle ahead must appear in the image"
-        );
-        // Ego is at d=0.2; the window extends to d in [-0.4, 0.8]; cells
-        // below the track read off-track.
-        assert!(img.iter().any(|&v| v == CAMERA_OFF_TRACK));
-    }
-
-    #[test]
-    fn camera_empty_when_alone_mid_track() {
-        let t = Track::new(12.0, 0.4, 4); // wide track, ego in the middle
-        let p = VehicleParams::default();
-        let cfg = CameraConfig {
-            lateral_half: 0.5,
-            ..CameraConfig::default()
-        };
-        let img = camera_image(0, &[straight(0.0, 0.8)], &p, &t, &cfg);
-        assert!(img.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn camera_rotates_with_heading() {
-        let t = Track::double_lane();
-        let p = VehicleParams::default();
-        let cfg = CameraConfig::default();
-        let mut ego = straight(0.0, 0.2);
-        ego.heading = 0.4;
-        let other = straight(0.9, 0.2);
-        let img_straight = camera_image(0, &[straight(0.0, 0.2), other], &p, &t, &cfg);
-        let img_turned = camera_image(0, &[ego, other], &p, &t, &cfg);
-        assert_ne!(img_straight, img_turned);
-    }
-}

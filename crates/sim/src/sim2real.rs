@@ -90,7 +90,11 @@ impl SimToRealEnv {
         // would desynchronize the spawn jitter from a plain environment
         // built with the same seed.
         let (lo, hi) = env.cfg.gain_range;
-        env.episode_gain = if hi > lo { env.rng.gen_range(lo..hi) } else { lo };
+        env.episode_gain = if hi > lo {
+            env.rng.gen_range(lo..hi)
+        } else {
+            lo
+        };
         env
     }
 
@@ -121,7 +125,7 @@ impl SimToRealEnv {
 
     /// Kinematic state of vehicle `i` (exact — on the testbed each robot
     /// knows its own pose from odometry).
-    pub fn vehicle_state(&self, i: usize) -> &crate::vehicle::VehicleState {
+    pub fn vehicle_state(&self, i: usize) -> crate::vehicle::VehicleState {
         self.inner.vehicle_state(i)
     }
 
@@ -139,7 +143,11 @@ impl SimToRealEnv {
     /// the latency buffer, and returns noised observations.
     pub fn reset(&mut self) -> Vec<Observation> {
         let (lo, hi) = self.cfg.gain_range;
-        self.episode_gain = if hi > lo { self.rng.gen_range(lo..hi) } else { lo };
+        self.episode_gain = if hi > lo {
+            self.rng.gen_range(lo..hi)
+        } else {
+            lo
+        };
         self.pending = vec![VehicleCommand::default(); self.inner.num_vehicles()];
         let obs = self.inner.reset();
         obs.into_iter().map(|o| self.noise_obs(o)).collect()
@@ -163,10 +171,10 @@ impl SimToRealEnv {
             .iter()
             .map(|c| {
                 VehicleCommand::new(
-                    (c.linear * self.episode_gain
-                        + self.gaussian() * self.cfg.action_noise_std)
+                    (c.linear * self.episode_gain + self.gaussian() * self.cfg.action_noise_std)
                         .max(0.0),
-                    c.angular + self.cfg.heading_drift
+                    c.angular
+                        + self.cfg.heading_drift
                         + self.gaussian() * self.cfg.action_noise_std,
                 )
             })
@@ -230,8 +238,12 @@ mod tests {
     #[test]
     fn identity_gap_matches_plain_env() {
         let mut plain = LaneChangeEnv::new(EnvConfig::default(), spawns(), 11);
-        let mut wrapped =
-            SimToRealEnv::new(EnvConfig::default(), spawns(), SimToRealConfig::identity(), 11);
+        let mut wrapped = SimToRealEnv::new(
+            EnvConfig::default(),
+            spawns(),
+            SimToRealConfig::identity(),
+            11,
+        );
         let po = plain.reset();
         let wo = wrapped.reset();
         assert_eq!(po, wo);
@@ -270,7 +282,10 @@ mod tests {
         let out = env.step(&[VehicleCommand::new(0.2, 0.0), VehicleCommand::new(0.2, 0.0)]);
         assert!(out.mean_speed < 1e-6, "step 1 executes the empty buffer");
         let out2 = env.step(&[VehicleCommand::new(0.0, 0.0), VehicleCommand::new(0.0, 0.0)]);
-        assert!((out2.mean_speed - 0.2).abs() < 1e-6, "step 2 executes step 1's command");
+        assert!(
+            (out2.mean_speed - 0.2).abs() < 1e-6,
+            "step 2 executes step 1's command"
+        );
     }
 
     #[test]
@@ -289,8 +304,12 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let mk = || {
-            let mut e =
-                SimToRealEnv::new(EnvConfig::default(), spawns(), SimToRealConfig::default(), 99);
+            let mut e = SimToRealEnv::new(
+                EnvConfig::default(),
+                spawns(),
+                SimToRealConfig::default(),
+                99,
+            );
             e.reset();
             e.step(&[VehicleCommand::coast(0.1), VehicleCommand::coast(0.1)])
         };
@@ -318,7 +337,7 @@ impl crate::env::CooperativeWorld for SimToRealEnv {
         SimToRealEnv::learner_indices(self)
     }
     fn vehicle_state(&self, i: usize) -> crate::vehicle::VehicleState {
-        *SimToRealEnv::vehicle_state(self, i)
+        SimToRealEnv::vehicle_state(self, i)
     }
     fn needs_merge(&self, i: usize) -> bool {
         SimToRealEnv::needs_merge(self, i)

@@ -173,7 +173,7 @@ impl SkillEnv {
 
     /// Current observation: `[image…, speed, laneID]` (+ option one-hot for
     /// the driving-in-lane skill).
-    pub fn observe(&self) -> Vec<f32> {
+    pub fn observe(&mut self) -> Vec<f32> {
         let mut v = self.inner.observe(0).low_flat_vec();
         if self.kind == SkillKind::DrivingInLane {
             for opt in IN_LANE_TRAINED_OPTIONS {
@@ -197,7 +197,7 @@ impl SkillEnv {
             .expect("trained options always have bounds");
         let (linear, angular_raw) = bounds.denormalize(squashed[0], squashed[1]);
         let track = self.inner.config().track;
-        let state = *self.inner.vehicle_state(0);
+        let state = self.inner.vehicle_state(0);
         let target_d = track.lane_center(self.target_lane);
 
         let angular = match self.kind {
@@ -209,8 +209,8 @@ impl SkillEnv {
         let out = self.inner.step(&[VehicleCommand::new(linear, angular)]);
         let after = self.inner.vehicle_state(0);
         let cfg = self.inner.config();
-        let travel = track.signed_delta(before_s, after.s).max(0.0)
-            / (cfg.vehicle.max_speed * cfg.dt);
+        let travel =
+            track.signed_delta(before_s, after.s).max(0.0) / (cfg.vehicle.max_speed * cfg.dt);
 
         let reward = match self.kind {
             SkillKind::DrivingInLane => {
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn obs_dims_include_conditioning() {
         let cfg = EnvConfig::default();
-        let in_lane = SkillEnv::driving_in_lane(cfg, 0);
+        let mut in_lane = SkillEnv::driving_in_lane(cfg, 0);
         assert_eq!(in_lane.obs_dim(), cfg.low_dim() + 2);
         let lc = SkillEnv::lane_change(cfg, 0);
         assert_eq!(lc.obs_dim(), cfg.low_dim());

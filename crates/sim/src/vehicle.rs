@@ -1,6 +1,5 @@
 //! Unicycle vehicle kinematics in the track's Frenet frame.
 
-use crate::geometry::{Obb, Vec2};
 use crate::track::Track;
 
 /// Physical footprint and limits of a vehicle (the paper's small two-wheel
@@ -84,20 +83,6 @@ impl VehicleState {
         self.d += v * self.heading.sin() * dt;
     }
 
-    /// The vehicle's oriented bounding box in a frame where longitudinal
-    /// position is taken relative to `origin_s` (wrapped). Pass the
-    /// observer's `s` so nearby vehicles land near `x = 0` regardless of
-    /// loop wrap-around.
-    pub fn obb_relative(&self, origin_s: f32, params: &VehicleParams, track: &Track) -> Obb {
-        let x = track.signed_delta(origin_s, self.s);
-        Obb::new(
-            Vec2::new(x, self.d),
-            params.length / 2.0,
-            params.width / 2.0,
-            self.heading,
-        )
-    }
-
     /// Lane index of the vehicle's center.
     pub fn lane(&self, track: &Track) -> usize {
         track.lane_of(self.d)
@@ -176,19 +161,6 @@ mod tests {
         let mut v2 = VehicleState::default();
         v2.step(VehicleCommand::new(-5.0, 0.0), &p, &track(), 1.0);
         assert_eq!(v2.speed, 0.0, "no reverse gear");
-    }
-
-    #[test]
-    fn obb_relative_uses_wrapped_delta() {
-        let t = track();
-        let p = VehicleParams::default();
-        let ahead_of_wrap = VehicleState {
-            s: 0.3,
-            d: 0.2,
-            ..Default::default()
-        };
-        let obb = ahead_of_wrap.obb_relative(11.8, &p, &t);
-        assert!((obb.center.x - 0.5).abs() < 1e-5, "x = {}", obb.center.x);
     }
 
     #[test]

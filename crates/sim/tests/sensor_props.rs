@@ -1,11 +1,19 @@
 //! Property tests for the sensing and geometry substrate.
+//!
+//! The sensor properties run on what ships: observations a
+//! [`LaneChangeEnv`] renders for poses reached through spawn tables and
+//! commands. The bounding-box properties run on the reference world in
+//! `oracle/`, whose `Obb` is the plain statement of the geometry the
+//! shipped kernels inline.
 
-use hero_sim::geometry::{Obb, Vec2};
-use hero_sim::sensors::{
-    camera_image, lidar_scan, CameraConfig, LidarConfig, CAMERA_OFF_TRACK, CAMERA_VEHICLE,
-};
+mod oracle;
+
+use hero_sim::env::{EnvConfig, LaneChangeEnv, Observation, VehicleRole, VehicleSpawn};
+use hero_sim::geometry::Vec2;
+use hero_sim::sensors::{CAMERA_OFF_TRACK, CAMERA_VEHICLE};
 use hero_sim::track::Track;
-use hero_sim::vehicle::{VehicleParams, VehicleState};
+use hero_sim::vehicle::{VehicleCommand, VehicleParams, VehicleState};
+use oracle::{obb_relative, ray_to_horizontal_line, Obb};
 use proptest::prelude::*;
 
 fn arbitrary_vehicle() -> impl Strategy<Value = VehicleState> {
@@ -19,44 +27,98 @@ fn arbitrary_vehicle() -> impl Strategy<Value = VehicleState> {
     })
 }
 
+/// A learner placed on a lane center anywhere along the loop.
+fn arbitrary_spawn() -> impl Strategy<Value = VehicleSpawn> {
+    (0usize..2, 0.0f32..12.0, 0.0f32..0.25).prop_map(|(lane, s, speed)| VehicleSpawn {
+        lane,
+        random_lane: false,
+        s,
+        s_jitter: 0.0,
+        speed,
+        role: VehicleRole::Learner,
+    })
+}
+
+/// Up to eight control periods of `(linear, angular)` commands, one per
+/// vehicle slot, spanning past the speed and steering limits.
+fn arbitrary_drive() -> impl Strategy<Value = Vec<Vec<(f32, f32)>>> {
+    prop::collection::vec(
+        prop::collection::vec((-0.1f32..0.35, -0.4f32..0.4), 6),
+        0..8,
+    )
+}
+
+/// Every observation the shipped world renders from `spawns` driven by
+/// `drive`: the reset's, each step's, and `observe(i)` after each step,
+/// stopping when the episode ends.
+fn reachable_observations(
+    spawns: Vec<VehicleSpawn>,
+    drive: &[Vec<(f32, f32)>],
+) -> Vec<Observation> {
+    let n = spawns.len();
+    let mut env = LaneChangeEnv::new(EnvConfig::default(), spawns, 0);
+    let mut seen = env.reset();
+    for period in drive {
+        if env.is_done() {
+            break;
+        }
+        let commands: Vec<VehicleCommand> = period[..n]
+            .iter()
+            .map(|&(lin, ang)| VehicleCommand::new(lin, ang))
+            .collect();
+        seen.extend(env.step(&commands).observations);
+        seen.extend((0..n).map(|i| env.observe(i)));
+    }
+    seen
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Lidar returns are always normalized and finite, for any vehicle
-    /// configuration.
-    fn lidar_always_normalized(vehicles in prop::collection::vec(arbitrary_vehicle(), 1..6)) {
-        let track = Track::double_lane();
-        let params = VehicleParams::default();
-        let cfg = LidarConfig::default();
-        for ego in 0..vehicles.len() {
-            let scan = lidar_scan(ego, &vehicles, &params, &track, &cfg);
-            prop_assert_eq!(scan.len(), cfg.beams);
-            prop_assert!(scan.iter().all(|v| v.is_finite() && (0.0..=1.0).contains(v)));
+    /// Lidar returns are always normalized and finite, for any reachable
+    /// vehicle configuration.
+    fn lidar_always_normalized(
+        spawns in prop::collection::vec(arbitrary_spawn(), 1..6),
+        drive in arbitrary_drive(),
+    ) {
+        let beams = EnvConfig::default().lidar.beams;
+        for obs in reachable_observations(spawns, &drive) {
+            prop_assert_eq!(obs.lidar.len(), beams);
+            prop_assert!(obs.lidar.iter().all(|v| v.is_finite() && (0.0..=1.0).contains(v)));
         }
     }
 
     /// Lidar is monotone in obstacle distance: moving the only obstacle
     /// farther away (straight ahead) never shortens the front beam.
     fn lidar_monotone_in_distance(d1 in 0.5f32..1.0, extra in 0.05f32..0.9) {
-        let track = Track::double_lane();
-        let params = VehicleParams::default();
-        let cfg = LidarConfig::default();
-        let ego = VehicleState { s: 0.0, d: 0.2, heading: 0.0, speed: 0.1 };
-        let near = VehicleState { s: d1, d: 0.2, heading: 0.0, speed: 0.1 };
-        let far = VehicleState { s: d1 + extra, d: 0.2, heading: 0.0, speed: 0.1 };
-        let scan_near = lidar_scan(0, &[ego, near], &params, &track, &cfg);
-        let scan_far = lidar_scan(0, &[ego, far], &params, &track, &cfg);
-        prop_assert!(scan_far[0] >= scan_near[0] - 1e-5);
+        let spawn = |s: f32| VehicleSpawn {
+            lane: 0,
+            random_lane: false,
+            s,
+            s_jitter: 0.0,
+            speed: 0.1,
+            role: VehicleRole::Learner,
+        };
+        let front = |other: f32| {
+            let mut env = LaneChangeEnv::new(EnvConfig::default(), vec![spawn(0.0), spawn(other)], 0);
+            env.observe(0).lidar[0]
+        };
+        prop_assert!(front(d1 + extra) >= front(d1) - 1e-5);
     }
 
     /// Camera cells only ever take the three defined values.
-    fn camera_values_are_categorical(vehicles in prop::collection::vec(arbitrary_vehicle(), 1..6)) {
-        let track = Track::double_lane();
-        let params = VehicleParams::default();
-        let cfg = CameraConfig::default();
-        let img = camera_image(0, &vehicles, &params, &track, &cfg);
-        prop_assert_eq!(img.len(), cfg.image_len());
-        prop_assert!(img.iter().all(|&v| v == 0.0 || v == CAMERA_OFF_TRACK || v == CAMERA_VEHICLE));
+    fn camera_values_are_categorical(
+        spawns in prop::collection::vec(arbitrary_spawn(), 1..6),
+        drive in arbitrary_drive(),
+    ) {
+        let cells = EnvConfig::default().camera.image_len();
+        for obs in reachable_observations(spawns, &drive) {
+            prop_assert_eq!(obs.image.len(), cells);
+            prop_assert!(obs
+                .image
+                .iter()
+                .all(|&v| v == 0.0 || v == CAMERA_OFF_TRACK || v == CAMERA_VEHICLE));
+        }
     }
 
     /// A ray that reports a hit at distance t: the point origin + t·dir
@@ -98,14 +160,84 @@ proptest! {
     ) {
         let track = Track::double_lane();
         let params = VehicleParams::default();
-        v.step(
-            hero_sim::vehicle::VehicleCommand::new(lin, ang),
-            &params,
-            &track,
-            1.0,
-        );
+        v.step(VehicleCommand::new(lin, ang), &params, &track, 1.0);
         prop_assert!(v.speed >= 0.0 && v.speed <= params.max_speed);
         prop_assert!(v.heading.abs() <= params.max_heading + 1e-6);
         prop_assert!((0.0..track.length).contains(&v.s));
     }
+}
+
+#[test]
+fn obb_contains_center_and_not_far_point() {
+    let b = Obb::new(Vec2::new(1.0, 1.0), 0.5, 0.25, 0.3);
+    assert!(b.contains(Vec2::new(1.0, 1.0)));
+    assert!(!b.contains(Vec2::new(3.0, 3.0)));
+}
+
+#[test]
+fn aligned_boxes_overlap_iff_close() {
+    let a = Obb::new(Vec2::new(0.0, 0.0), 0.5, 0.25, 0.0);
+    let near = Obb::new(Vec2::new(0.8, 0.0), 0.5, 0.25, 0.0);
+    let far = Obb::new(Vec2::new(1.2, 0.0), 0.5, 0.25, 0.0);
+    assert!(a.intersects(&near));
+    assert!(!a.intersects(&far));
+}
+
+#[test]
+fn rotated_boxes_corner_case() {
+    // Two boxes whose AABBs overlap but whose OBBs do not (diagonal gap).
+    let a = Obb::new(Vec2::new(0.0, 0.0), 1.0, 0.1, std::f32::consts::FRAC_PI_4);
+    let b = Obb::new(Vec2::new(0.9, -0.9), 1.0, 0.1, std::f32::consts::FRAC_PI_4);
+    assert!(!a.intersects(&b));
+}
+
+#[test]
+fn rays_hit_ahead_miss_behind_and_start_inside_at_zero() {
+    let ahead = Obb::new(Vec2::new(2.0, 0.0), 0.5, 0.5, 0.0);
+    let t = ahead
+        .ray_intersection(Vec2::new(0.0, 0.0), Vec2::new(1.0, 0.0))
+        .unwrap();
+    assert!((t - 1.5).abs() < 1e-5);
+    let behind = Obb::new(Vec2::new(-2.0, 0.0), 0.5, 0.5, 0.0);
+    assert!(behind
+        .ray_intersection(Vec2::new(0.0, 0.0), Vec2::new(1.0, 0.0))
+        .is_none());
+    let around = Obb::new(Vec2::new(0.0, 0.0), 1.0, 1.0, 0.0);
+    let t = around
+        .ray_intersection(Vec2::new(0.0, 0.0), Vec2::new(1.0, 0.0))
+        .unwrap();
+    assert_eq!(t, 0.0);
+}
+
+#[test]
+fn ray_against_rotated_box() {
+    let b = Obb::new(Vec2::new(1.0, 1.0), 0.5, 0.1, std::f32::consts::FRAC_PI_4);
+    let dir = Vec2::new(1.0, 1.0).scale(1.0 / 2f32.sqrt());
+    let t = b.ray_intersection(Vec2::new(0.0, 0.0), dir);
+    assert!(t.is_some());
+    // The box center is sqrt(2) away; first hit must be closer.
+    assert!(t.unwrap() < 2f32.sqrt());
+}
+
+#[test]
+fn ray_to_wall() {
+    let t = ray_to_horizontal_line(Vec2::new(0.0, 0.2), Vec2::new(0.0, 1.0), 0.8).unwrap();
+    assert!((t - 0.6).abs() < 1e-6);
+    assert!(ray_to_horizontal_line(Vec2::new(0.0, 0.2), Vec2::new(1.0, 0.0), 0.8).is_none());
+}
+
+#[test]
+fn obb_relative_uses_wrapped_delta() {
+    let ahead_of_wrap = VehicleState {
+        s: 0.3,
+        d: 0.2,
+        ..Default::default()
+    };
+    let obb = obb_relative(
+        &ahead_of_wrap,
+        11.8,
+        &VehicleParams::default(),
+        &Track::double_lane(),
+    );
+    assert!((obb.center.x - 0.5).abs() < 1e-5, "x = {}", obb.center.x);
 }

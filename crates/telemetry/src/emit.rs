@@ -685,7 +685,7 @@ mod tests {
         let r = Registry::new(TelemetryConfig::default());
         r.counter_add("env_steps", 41);
         r.counter_add("episodes", 3);
-        r.record_span("rollout/env_step".into(), std::time::Duration::from_micros(120));
+        r.record_span("rollout/env_step", std::time::Duration::from_micros(120));
         r.observe("reward", 1.5);
         r.gauge_set("live/queue_depth/actor0", 2.0);
         r.gauge_set("live/actors_total", 2.0);

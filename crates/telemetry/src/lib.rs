@@ -76,6 +76,9 @@ thread_local! {
     static SCOPED: RefCell<Vec<Arc<Registry>>> = const { RefCell::new(Vec::new()) };
     /// Stack of active span names on this thread.
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// Reused buffer a closing span joins its path into, so recording a
+    /// span whose path the registry already holds allocates nothing.
+    static SPAN_PATH: RefCell<String> = const { RefCell::new(String::new()) };
     /// When set, record calls on this thread are diverted into this buffer
     /// instead of the registry; see [`begin_capture`].
     static CAPTURE: RefCell<Option<CaptureState>> = const { RefCell::new(None) };
@@ -163,12 +166,11 @@ pub fn replay(events: Vec<CapturedEvent>) {
                 CapturedEvent::Counter(name, n) => r.counter_add(name, *n),
                 CapturedEvent::Value(name, v) => r.observe(name, *v),
                 CapturedEvent::Span(path, duration) => {
-                    let full = if prefix.is_empty() {
-                        path.clone()
+                    if prefix.is_empty() {
+                        r.record_span(path, *duration);
                     } else {
-                        format!("{prefix}/{path}")
-                    };
-                    r.record_span(full, *duration);
+                        r.record_span(&format!("{prefix}/{path}"), *duration);
+                    }
                 }
             }
         }
@@ -344,6 +346,11 @@ fn record_process_gauges(registry: &Registry) {
 /// Starts a scoped span timer. The returned guard records the elapsed time
 /// under the `/`-joined path of all spans active on this thread when it
 /// drops. Near-zero cost when telemetry is disabled.
+///
+/// The clock starts before the span's own entry bookkeeping (the span-stack
+/// push and the trace-begin lookup), so a span's duration includes that
+/// bookkeeping and a timer wrapped around the spanned call sees only the
+/// exit bookkeeping beyond it.
 #[must_use = "a span records its duration when the guard drops"]
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
@@ -353,12 +360,13 @@ pub fn span(name: &'static str) -> SpanGuard {
             captured: false,
         };
     }
+    let start = Instant::now();
     SPAN_STACK.with(|s| s.borrow_mut().push(name));
     if capturing() {
         // Diverted span: timed against this thread's own (relative) span
         // stack and buffered on drop; no registry or trace access.
         return SpanGuard {
-            active: Some(Instant::now()),
+            active: Some(start),
             captured: true,
         };
     }
@@ -375,7 +383,7 @@ pub fn span(name: &'static str) -> SpanGuard {
         }
     });
     SpanGuard {
-        active: Some(Instant::now()),
+        active: Some(start),
         captured: false,
     }
 }
@@ -401,24 +409,32 @@ impl Drop for SpanGuard {
             capture_event(CapturedEvent::Span(path, duration));
             return;
         }
-        let path = SPAN_STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let path = stack.join("/");
-            stack.pop();
-            path
-        });
-        let _ = with_registry(|r| {
-            if r.trace_enabled() {
-                let dur_us = duration.as_secs_f64() * 1e6;
-                r.record_trace_event(TraceEvent {
-                    phase: TracePhase::End,
-                    name: path.clone(),
-                    tid: trace::thread_id(),
-                    ts_us: r.elapsed().as_secs_f64() * 1e6,
-                    arg: Some(("dur_us", dur_us)),
-                });
-            }
-            r.record_span(path, duration);
+        SPAN_PATH.with(|p| {
+            let mut path = p.borrow_mut();
+            path.clear();
+            SPAN_STACK.with(|s| {
+                let mut stack = s.borrow_mut();
+                for (k, name) in stack.iter().enumerate() {
+                    if k > 0 {
+                        path.push('/');
+                    }
+                    path.push_str(name);
+                }
+                stack.pop();
+            });
+            let _ = with_registry(|r| {
+                if r.trace_enabled() {
+                    let dur_us = duration.as_secs_f64() * 1e6;
+                    r.record_trace_event(TraceEvent {
+                        phase: TracePhase::End,
+                        name: path.clone(),
+                        tid: trace::thread_id(),
+                        ts_us: r.elapsed().as_secs_f64() * 1e6,
+                        arg: Some(("dur_us", dur_us)),
+                    });
+                }
+                r.record_span(&path, duration);
+            });
         });
     }
 }

@@ -117,13 +117,16 @@ impl Registry {
             .fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records a span duration under the (already joined) span path.
-    pub fn record_span(&self, path: String, duration: Duration) {
-        self.spans
-            .lock()
-            .entry(path)
-            .or_default()
-            .observe(duration.as_secs_f64() * 1e6);
+    /// Records a span duration under the (already joined) span path. The
+    /// path is only allocated into the registry the first time it is seen.
+    pub fn record_span(&self, path: &str, duration: Duration) {
+        let us = duration.as_secs_f64() * 1e6;
+        let mut spans = self.spans.lock();
+        if let Some(h) = spans.get_mut(path) {
+            h.observe(us);
+        } else {
+            spans.entry(path.to_string()).or_default().observe(us);
+        }
     }
 
     /// Records a free-form scalar observation. The name may be dynamic
@@ -477,8 +480,8 @@ mod tests {
     #[test]
     fn spans_and_values_summarized() {
         let r = Registry::new(TelemetryConfig::default());
-        r.record_span("a/b".into(), Duration::from_micros(100));
-        r.record_span("a/b".into(), Duration::from_micros(300));
+        r.record_span("a/b", Duration::from_micros(100));
+        r.record_span("a/b", Duration::from_micros(300));
         r.observe("reward", 1.0);
         let snap = r.snapshot();
         assert_eq!(snap.spans["a/b"].count, 2);

@@ -272,7 +272,7 @@ proptest! {
             r.observe("reward", v);
         }
         for &us in &micros {
-            r.record_span("rollout/env_step".to_string(), Duration::from_micros(us));
+            r.record_span("rollout/env_step", Duration::from_micros(us));
         }
         let snap = r.snapshot();
         let text = emit::to_jsonl(&snap);

@@ -55,10 +55,7 @@ fn spawns() -> Vec<VehicleSpawn> {
     ]
 }
 
-fn run(
-    policy_name: &str,
-    mut pick: impl FnMut(usize, &LaneChangeEnv) -> DrivingOption,
-) -> (usize, f32) {
+fn run(policy_name: &str, mut pick: impl FnMut(&Observation) -> DrivingOption) -> (usize, f32) {
     let cfg = EnvConfig {
         track: Track::new(16.0, 0.4, 3),
         max_steps: 25,
@@ -70,16 +67,17 @@ fn run(
     let mut speed_sum = 0.0;
     let mut steps = 0;
     for _ in 0..20 {
-        env.reset();
+        let mut obs = env.reset();
         while !env.is_done() {
             let mut cmds = vec![VehicleCommand::default(); env.num_vehicles()];
             for &v in &env.learner_indices() {
-                let option = pick(v, &env);
-                cmds[v] = executor.command(option, env.vehicle_state(v), &cfg.track);
+                let option = pick(&obs[v]);
+                cmds[v] = executor.command(option, &env.vehicle_state(v), &cfg.track);
             }
             let out = env.step(&cmds);
             speed_sum += out.mean_speed;
             steps += 1;
+            obs = out.observations;
         }
         if env.learner_indices().iter().any(|&v| env.has_collided(v)) {
             collisions += 1;
@@ -97,12 +95,11 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(1);
 
     // Policy A: always accelerate blindly.
-    let (blind, _) = run("always-accelerate", |_, _| DrivingOption::Accelerate);
+    let (blind, _) = run("always-accelerate", |_| DrivingOption::Accelerate);
 
     // Policy B: a hand-written reactive rule — slow down when the front
     // lidar cone is blocked, change lane when also slow.
-    let (reactive, _) = run("reactive-rule", |v, env| {
-        let obs = env.observe(v);
+    let (reactive, _) = run("reactive-rule", |obs| {
         let front = obs.lidar[0].min(obs.lidar[1]).min(obs.lidar[obs.lidar.len() - 1]);
         if front < 0.25 {
             DrivingOption::LaneChange
@@ -115,7 +112,7 @@ fn main() {
 
     // Policy C: uniformly random options.
     use rand::Rng;
-    let (_random, _) = run("uniform-random", move |_, _| {
+    let (_random, _) = run("uniform-random", move |_| {
         DrivingOption::from_index(rng.gen_range(0..DrivingOption::COUNT))
     });
 

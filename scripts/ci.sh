@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate, the benchmark's build and helper tests, telemetry smoke
-# test, the learning-dynamics golden diff, the policy-serving lane, and a
-# quick benchmark pass. Run from anywhere.
+# hero-sim's format gate, the tier-1 gate, the benchmark's build and
+# helper tests, telemetry smoke test, the learning-dynamics golden diff,
+# the policy-serving lane, and a quick benchmark pass. Run from anywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -25,6 +25,11 @@ expect_counter() {
     }
 }
 
+echo "=== format gate: hero-sim"
+# hero-sim is rustfmt-clean; keep it so. The other crates are not yet
+# (a formatting-only change will bring them under this gate).
+cargo fmt -p hero-sim -- --check
+
 echo "=== tier-1: cargo build --release"
 cargo build --release
 
@@ -41,12 +46,13 @@ cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 echo "=== workspace tests"
 cargo test --workspace -q
 
-echo "=== batched-rollout differential equivalence"
-# The bit-exactness contract of the vectorized rollout engine: every
-# world of a BatchWorld must match a scalar LaneChangeEnv bit-for-bit
-# (observations, rewards, RNG streams, termination). Tier-1 already runs
-# this suite; rerun it by name so a contract break is unmissable in the
-# CI log.
+echo "=== simulator differential equivalence"
+# The bit-exactness contract of the simulator's kernels: every world of a
+# BatchWorld, and the one-world LaneChangeEnv handle, must match the
+# test-only scalar reference world (crates/sim/tests/oracle/) bit-for-bit
+# (observations, rewards, RNG streams, termination). The workspace tests
+# already run this suite; rerun it by name so a contract break is
+# unmissable in the CI log.
 cargo test -q --release -p hero-sim --test batch_equivalence
 
 echo "=== GEMM kernel contract"
