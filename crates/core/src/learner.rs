@@ -1,28 +1,34 @@
-//! The learner core that every training host shares.
+//! The training loop, written once.
 //!
-//! Algorithm 1's learner-side bookkeeping is written once, here: resuming
-//! from the newest valid checkpoint, `kill@ep:N` injection, the
-//! `update_every` cadence (with `nan-grad@update:N` poisoning), the
-//! per-episode metric series, and periodic checkpoints. Where the world
-//! steps is a host's business:
+//! Algorithm 1 is one loop, and [`run`] is it: resume from the newest
+//! valid checkpoint, honor `kill@ep:N`, then run waves of episodes —
+//! decide, step, record, and update on the `update_every` cadence (with
+//! `nan-grad@update:N` poisoning) — closing each episode into the metric
+//! series and checkpointing after each wave. The worlds live in a
+//! [`WorldHost`], which only resets them, steps them, recovers them when
+//! the thread under them fails, and reports their RNG streams:
 //!
 //! * [`InlineHost`] steps any [`CooperativeWorld`] on the learner thread
 //!   ([`crate::trainer::train_team_checkpointed`], and the actor/learner
 //!   engine when one fault-free actor would host one world);
-//! * the rollout engine's serial host ships every step to a supervised
-//!   actor thread ([`crate::rollout`]).
+//! * the rollout engine's serial host steps one world on supervised actor
+//!   threads, and its batched host `actors × batch_worlds` worlds
+//!   ([`crate::rollout`]).
 //!
-//! Both run the same episode loop, [`run_episodes`], with the team's own
-//! option cursor, so serial actor/learner training is bit-identical to
-//! sequential training by construction. The batched engine interleaves
-//! many worlds per wave in its own loop, on the same core.
+//! A wave runs one episode on every world the host offers, capped so it
+//! never crosses the remaining-episode count, a scheduled kill, or a
+//! checkpoint boundary. A one-world host therefore runs one episode per
+//! wave, and serial actor/learner training is bit-identical to sequential
+//! training by construction. Every world has its own [`TeamCursor`]; when
+//! more than one world is choosing an option, each agent's policy forward
+//! runs once for all of them.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use hero_autograd::CheckpointError;
+use hero_autograd::{CheckpointError, TensorPool};
 use hero_faultplan::KillMode;
 use hero_rl::metrics::Recorder;
 use hero_rl::telemetry::{self, FlightEventKind};
@@ -71,16 +77,54 @@ pub(crate) struct WorldStep {
     pub(crate) outcome: Option<WorldFlags>,
 }
 
-impl WorldStep {
-    /// Whether this step ended the episode.
-    pub(crate) fn done(&self) -> bool {
-        self.outcome.is_some()
+/// A world a host just reset: its index, first observations, and every
+/// vehicle's state.
+pub(crate) type WorldReset = (usize, Vec<Observation>, Vec<VehicleState>);
+
+/// A host lost every actor it steps worlds on.
+pub(crate) struct FleetLost;
+
+/// Where the training loop's worlds live. A host resets worlds, steps
+/// them, recovers them when the thread under them fails, and reports
+/// their environment RNG streams; every decision, record, update and
+/// checkpoint stays in [`run`].
+pub(crate) trait WorldHost {
+    /// How many worlds the host steps. World 0 continues the caller's
+    /// environment.
+    fn worlds(&self) -> usize;
+
+    /// Resets the first `cap` worlds that can run, for a wave whose first
+    /// episode is `episode`, and returns the ones that reset, in world
+    /// order. A world missing from the result failed and was left to
+    /// supervision.
+    fn reset(&mut self, episode: usize, cap: usize) -> Result<Vec<WorldReset>, FleetLost>;
+
+    /// Steps each of `worlds` with its commands. Returns one entry per
+    /// world: `None` for a world abandoned mid-episode.
+    fn step(
+        &mut self,
+        worlds: &[usize],
+        commands: Vec<Vec<VehicleCommand>>,
+    ) -> Result<Vec<Option<WorldStep>>, FleetLost>;
+
+    /// Called once the `started` episodes of a wave are over.
+    fn wave_done(&mut self, _started: usize) {}
+
+    /// World 0's environment RNG stream.
+    fn env_rng(&self) -> Vec<u64>;
+
+    /// Every world's environment RNG stream, which checkpoints carry in
+    /// their `workers` section. `None` for a one-world host: its stream is
+    /// the environment's own, so its checkpoints and a sequential run's
+    /// resume each other.
+    fn world_rngs(&mut self) -> Option<&mut Vec<Vec<u64>>> {
+        None
     }
 }
 
 /// Running sums of one episode's per-step metrics.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct EpisodeTally {
+struct EpisodeTally {
     reward: f32,
     speed: f32,
     steps: usize,
@@ -88,7 +132,7 @@ pub(crate) struct EpisodeTally {
 
 impl EpisodeTally {
     /// Adds one step: its mean learner reward and mean vehicle speed.
-    pub(crate) fn add(&mut self, learners: &[usize], rewards: &[f32], mean_speed: f32) {
+    fn add(&mut self, learners: &[usize], rewards: &[f32], mean_speed: f32) {
         self.reward += learners.iter().map(|&v| rewards[v]).sum::<f32>() / learners.len() as f32;
         self.speed += mean_speed;
         self.steps += 1;
@@ -99,29 +143,30 @@ impl EpisodeTally {
 /// action-sampling RNG, the metric series, the counters behind the
 /// update and fault cadences, and the checkpoint store.
 pub(crate) struct LearnerCore<'a> {
-    pub(crate) team: &'a mut HeroTeam,
-    pub(crate) rng: StdRng,
-    pub(crate) opts: &'a TrainOptions,
-    pub(crate) ckpt: &'a CheckpointConfig,
+    team: &'a mut HeroTeam,
+    rng: StdRng,
+    opts: &'a TrainOptions,
+    ckpt: &'a CheckpointConfig,
     /// The layout every hosted world shares: its track and the vehicles
     /// the team drives.
-    pub(crate) track: Track,
-    pub(crate) learners: Vec<usize>,
-    /// The first episode this invocation runs (past any restored ones).
-    pub(crate) start_episode: usize,
+    track: Track,
+    learners: Vec<usize>,
+    /// Episodes completed before this invocation (restored ones).
+    start_episode: usize,
     /// Episodes completed by this invocation.
-    pub(crate) episodes_run: usize,
+    episodes_run: usize,
     rec: Recorder,
     step_counter: usize,
     update_counter: usize,
     store: Option<CheckpointStore>,
+    /// The checkpoint's per-world rollout state, until [`run`] restores it.
+    workers: Option<WorkerStates>,
 }
 
 impl<'a> LearnerCore<'a> {
     /// A fresh learner or — with `ckpt.resume` — one restored from the
     /// newest valid checkpoint in `ckpt.dir`, together with `env`'s RNG
-    /// stream and the telemetry totals. Also returns the checkpoint's
-    /// per-world rollout state, if it carried any.
+    /// stream and the telemetry totals.
     ///
     /// # Errors
     ///
@@ -133,7 +178,7 @@ impl<'a> LearnerCore<'a> {
         env: &mut W,
         opts: &'a TrainOptions,
         ckpt: &'a CheckpointConfig,
-    ) -> Result<(Self, Option<WorkerStates>), TrainError> {
+    ) -> Result<Self, TrainError> {
         let mut core = Self {
             team,
             rng: StdRng::seed_from_u64(opts.seed),
@@ -147,26 +192,26 @@ impl<'a> LearnerCore<'a> {
             step_counter: 0,
             update_counter: 0,
             store: None,
+            workers: None,
         };
-        let workers = if ckpt.resume { core.resume(env)? } else { None };
+        if ckpt.resume {
+            core.resume(env)?;
+        }
         core.store = ckpt.open_store();
-        Ok((core, workers))
+        Ok(core)
     }
 
-    fn resume<W: CooperativeWorld>(
-        &mut self,
-        env: &mut W,
-    ) -> Result<Option<WorkerStates>, TrainError> {
+    fn resume<W: CooperativeWorld>(&mut self, env: &mut W) -> Result<(), TrainError> {
         let ckpt = self.ckpt;
         let Some(dir) = &ckpt.dir else {
-            return Ok(None);
+            return Ok(());
         };
         let loaded = match checkpoint::load_latest(dir) {
             Ok(Some(loaded)) => loaded,
-            Ok(None) => return Ok(None),
+            Ok(None) => return Ok(()),
             Err(e) => {
                 telemetry::progress(&format!("checkpoint dir unreadable, starting fresh: {e}"));
-                return Ok(None);
+                return Ok(());
             }
         };
         let restored = TrainerSnapshot::from_sections(&loaded.sections)
@@ -193,7 +238,8 @@ impl<'a> LearnerCore<'a> {
                 self.step_counter = snap.step_counter;
                 self.update_counter = snap.update_counter;
                 self.start_episode = snap.next_episode;
-                Ok(snap.workers)
+                self.workers = snap.workers;
+                Ok(())
             }
             Err(e @ CheckpointError::KernelModeMismatch) => {
                 // Fast-math weights under strict kernels would diverge from
@@ -207,14 +253,114 @@ impl<'a> LearnerCore<'a> {
             Err(e) => {
                 telemetry::counter_add("checkpoint/corrupt_skipped", 1);
                 telemetry::progress(&format!("resume failed, starting fresh: {e}"));
-                Ok(None)
+                Ok(())
             }
         }
     }
 
+    /// The wave loop over `host`'s worlds, one cursor each. Each step
+    /// decides for every running world, in world order, and steps them
+    /// inside the `rollout` span; then, in world order, it records each
+    /// world's step, counts it toward the update cadence, and closes its
+    /// episode if the step ended it. Returns `false` when a `kill@ep:N`
+    /// fault stopped the run early.
+    fn waves<H: WorldHost>(
+        &mut self,
+        host: &mut H,
+        cursors: &mut [TeamCursor],
+    ) -> Result<bool, TrainError> {
+        let worlds = cursors.len();
+        let mut obs: Vec<Vec<Observation>> = vec![Vec::new(); worlds];
+        let mut states: Vec<Vec<VehicleState>> = vec![Vec::new(); worlds];
+        let mut tally = vec![EpisodeTally::default(); worlds];
+        // Buffers of the batched decide forwards, kept across waves.
+        let mut pool = TensorPool::new();
+        let mut done = self.start_episode;
+        while done < self.opts.episodes {
+            if self.killed_before(done) {
+                return Ok(false);
+            }
+            let resets = match host.reset(done, self.wave_cap(done)) {
+                Ok(resets) => resets,
+                Err(FleetLost) => return Err(self.fleet_lost(host, cursors, Some(done))),
+            };
+            if resets.is_empty() {
+                continue; // every reset failed; retry after supervision
+            }
+            let started = resets.len();
+            let mut running = Vec::with_capacity(started);
+            for (g, first_obs, first_states) in resets {
+                obs[g] = first_obs;
+                states[g] = first_states;
+                cursors[g].begin_episode();
+                tally[g] = EpisodeTally::default();
+                running.push(g);
+            }
+            while !running.is_empty() {
+                let steps = {
+                    let _rollout = telemetry::span("rollout");
+                    let logits = (running.len() > 1)
+                        .then(|| self.batch_logits(&running, cursors, &obs, &mut pool));
+                    let commands = running
+                        .iter()
+                        .enumerate()
+                        .map(|(pos, &g)| {
+                            let world = WorldView {
+                                track: &self.track,
+                                learners: &self.learners,
+                                states: &states[g],
+                                obs: &obs[g],
+                            };
+                            let logits = logits.as_ref().map(|l| l[pos].as_slice());
+                            let cur = &mut cursors[g];
+                            self.team
+                                .decide_in(cur, &world, logits, &mut self.rng, true)
+                        })
+                        .collect();
+                    match host.step(&running, commands) {
+                        Ok(steps) => steps,
+                        Err(FleetLost) => return Err(self.fleet_lost(host, cursors, None)),
+                    }
+                };
+                let mut still = Vec::with_capacity(running.len());
+                for (g, step) in running.into_iter().zip(steps) {
+                    // An abandoned world's episode never ends; the next
+                    // wave reruns it on the surviving fleet.
+                    let Some(step) = step else { continue };
+                    let after = WorldView {
+                        track: &self.track,
+                        learners: &self.learners,
+                        states: &step.states,
+                        obs: &step.observations,
+                    };
+                    let ended = step.outcome.is_some();
+                    self.team
+                        .record_in(&mut cursors[g], &after, &obs[g], &step.rewards, ended);
+                    tally[g].add(&self.learners, &step.rewards, step.mean_speed);
+                    self.step_done();
+                    obs[g] = step.observations;
+                    states[g] = step.states;
+                    match step.outcome {
+                        Some(flags) => {
+                            self.episode_done(done, &flags, &tally[g]);
+                            done += 1;
+                        }
+                        None => still.push(g),
+                    }
+                }
+                running = still;
+            }
+            host.wave_done(started);
+            if self.ckpt.every > 0 && done.is_multiple_of(self.ckpt.every) {
+                self.save(host, cursors, done);
+            }
+        }
+        Ok(true)
+    }
+
     /// Honors a `kill@ep:N` fault scheduled before `episode`: `true` means
     /// the run stops here. With [`KillMode::Exit`] it never returns.
-    pub(crate) fn killed_before(&self, episode: usize) -> bool {
+    fn killed_before(&self, episode: usize) -> bool {
         if !self.ckpt.fault_plan.should_kill(episode) {
             return false;
         }
@@ -230,48 +376,59 @@ impl<'a> LearnerCore<'a> {
         }
     }
 
-    /// Decides one exploring step for a world on `cur` (the team's own
-    /// cursor with `None`); see [`HeroTeam::decide_in`] for `logits`.
-    pub(crate) fn decide(
-        &mut self,
-        cur: Option<&mut TeamCursor>,
-        obs: &[Observation],
-        states: &[VehicleState],
-        logits: Option<&[Option<Vec<f32>>]>,
-    ) -> Vec<VehicleCommand> {
-        let world = WorldView {
-            track: &self.track,
-            learners: &self.learners,
-            states,
-            obs,
-        };
-        self.team
-            .decide_in(cur, &world, logits, &mut self.rng, true)
+    /// How many episodes the next wave may run once `done` are complete:
+    /// a wave never crosses the remaining-episode count, a scheduled kill,
+    /// or a checkpoint boundary.
+    fn wave_cap(&self, done: usize) -> usize {
+        let mut wave = self.opts.episodes - done;
+        if let Some(k) = self.ckpt.fault_plan.kill_episode() {
+            if k > done {
+                wave = wave.min(k - done);
+            }
+        }
+        if self.ckpt.every > 0 {
+            wave = wave.min(self.ckpt.every - done % self.ckpt.every);
+        }
+        wave
     }
 
-    /// Records `step`, taken from observations `pre_obs`, into the team on
-    /// `cur` and into the episode's running `tally`.
-    pub(crate) fn record(
-        &mut self,
-        cur: Option<&mut TeamCursor>,
-        pre_obs: &[Observation],
-        step: &WorldStep,
-        tally: &mut EpisodeTally,
-    ) {
-        let after = WorldView {
-            track: &self.track,
-            learners: &self.learners,
-            states: &step.states,
-            obs: &step.observations,
-        };
-        self.team
-            .record_in(cur, &after, pre_obs, &step.rewards, step.done());
-        tally.add(&self.learners, &step.rewards, step.mean_speed);
+    /// Each running world's precomputed policy logits, per agent: one
+    /// forward per agent over every world where that agent is choosing an
+    /// option. Rows are independent under the strict kernels, so a
+    /// batched row equals its single-row forward. An agent choosing in
+    /// only one world gets `None`, and [`HeroTeam::decide_in`] runs its
+    /// own forward.
+    fn batch_logits(
+        &self,
+        running: &[usize],
+        cursors: &[TeamCursor],
+        obs: &[Vec<Observation>],
+        pool: &mut TensorPool,
+    ) -> Vec<Vec<Option<Vec<f32>>>> {
+        let mut logits = vec![vec![None; self.learners.len()]; running.len()];
+        for (k, &v) in self.learners.iter().enumerate() {
+            let choosing: Vec<usize> = (0..running.len())
+                .filter(|&pos| cursors[running[pos]].agents()[k].current_option().is_none())
+                .collect();
+            if choosing.len() < 2 {
+                continue;
+            }
+            let owned: Vec<Vec<f32>> = choosing
+                .iter()
+                .map(|&pos| obs[running[pos]][v].high_vec())
+                .collect();
+            let rows: Vec<&[f32]> = owned.iter().map(Vec::as_slice).collect();
+            let batched = self.team.agents()[k].batch_logits(&rows, pool);
+            for (row, &pos) in batched.into_iter().zip(&choosing) {
+                logits[pos][k] = Some(row);
+            }
+        }
+        logits
     }
 
     /// Counts one environment step and, on the `update_every` cadence,
     /// runs one learning pass over the team.
-    pub(crate) fn step_done(&mut self) {
+    fn step_done(&mut self) {
         self.step_counter += 1;
         if self.step_counter % self.opts.update_every != 0 {
             return;
@@ -302,12 +459,7 @@ impl<'a> LearnerCore<'a> {
     /// `reward` (mean per-step learner reward), `collision` (0/1),
     /// `success` (merge success rate, only when a learner had to merge),
     /// and `mean_speed`.
-    pub(crate) fn episode_done(
-        &mut self,
-        episode: usize,
-        flags: &WorldFlags,
-        tally: &EpisodeTally,
-    ) {
+    fn episode_done(&mut self, episode: usize, flags: &WorldFlags, tally: &EpisodeTally) {
         telemetry::counter_add("episodes", 1);
         telemetry::progress(&format!("ep {}", episode + 1));
         let steps = tally.steps.max(1) as f32;
@@ -329,29 +481,30 @@ impl<'a> LearnerCore<'a> {
         self.episodes_run += 1;
     }
 
-    /// Whether the checkpoint cadence asks for a snapshot once
-    /// `next_episode` episodes are done.
-    pub(crate) fn checkpoint_due(&self, next_episode: usize) -> bool {
-        self.store.is_some() && self.ckpt.every > 0 && next_episode % self.ckpt.every == 0
-    }
-
     /// Snapshots the complete trainer state (team, RNG streams, recorder,
-    /// telemetry) at an episode boundary. Returns whether it reached disk.
-    pub(crate) fn save(
+    /// telemetry, and the host's worlds) into the checkpoint store, if
+    /// any, at a wave boundary once `next_episode` episodes are done.
+    /// Returns whether it reached disk.
+    fn save<H: WorldHost>(
         &mut self,
+        host: &mut H,
+        cursors: &[TeamCursor],
         next_episode: usize,
-        env_rng: Vec<u64>,
-        workers: Option<WorkerStates>,
     ) -> bool {
         let Some(store) = self.store.as_mut() else {
             return false;
         };
+        self.team.absorb_cursor(&cursors[0]);
+        let workers = host.world_rngs().map(|rngs| WorkerStates {
+            rngs: rngs.clone(),
+            last_options: cursors.iter().map(|c| c.last_options().to_vec()).collect(),
+        });
         let snap = TrainerSnapshot {
             next_episode,
             step_counter: self.step_counter,
             update_counter: self.update_counter,
             trainer_rng: self.rng.state(),
-            env_rng,
+            env_rng: host.env_rng(),
             recorder: self.rec.clone(),
             telemetry: telemetry::export_state(),
             workers,
@@ -360,16 +513,42 @@ impl<'a> LearnerCore<'a> {
         store.save(&snap.to_sections(), &self.ckpt.fault_plan)
     }
 
-    /// The invocation's result. An incomplete run marks telemetry faulted,
-    /// so the next flush dumps the flight recorder.
-    pub(crate) fn finish(self, completed: bool) -> TrainOutcome {
-        if !completed {
-            telemetry::mark_faulted();
+    /// The supervision ladder's last rung: the host has no live actor
+    /// left. At a wave boundary (`boundary` holds the next episode) it
+    /// saves an emergency checkpoint; mid-episode state is half-ingested
+    /// and would poison a resume, so there it skips the save. Marks the
+    /// run faulted and returns the typed abort.
+    fn fleet_lost<H: WorldHost>(
+        &mut self,
+        host: &mut H,
+        cursors: &[TeamCursor],
+        boundary: Option<usize>,
+    ) -> TrainError {
+        telemetry::counter_add("supervisor/fleet_lost", 1);
+        telemetry::mark_faulted();
+        let saved = match boundary {
+            Some(next_episode) => self.save(host, cursors, next_episode),
+            None => {
+                telemetry::counter_add("supervisor/emergency_skipped", 1);
+                false
+            }
+        };
+        if saved {
+            telemetry::counter_add("supervisor/emergency_saved", 1);
         }
-        TrainOutcome {
-            recorder: self.rec,
-            completed,
-            episodes_run: self.episodes_run,
+        let episodes_run = self.episodes_run;
+        telemetry::flight_event(FlightEventKind::EmergencyCheckpoint {
+            episodes: episodes_run as u64,
+            saved: saved as u64,
+        });
+        telemetry::progress(&format!(
+            "actor fleet lost after {episodes_run} episode(s); emergency checkpoint {}",
+            if saved { "saved" } else { "not saved" }
+        ));
+        let _ = telemetry::flush();
+        TrainError::FleetLost {
+            episodes_run,
+            emergency_checkpoint_saved: saved,
         }
     }
 }
@@ -393,89 +572,67 @@ fn check_rng_streams(snap: &TrainerSnapshot, words: usize) -> Result<(), Checkpo
     }
 }
 
-/// Where [`run_episodes`] steps its one world.
-pub(crate) trait EpisodeHost {
-    /// Starts `episode`; returns its first observations and every
-    /// vehicle's state.
-    fn reset(
-        &mut self,
-        core: &mut LearnerCore<'_>,
-        episode: usize,
-    ) -> Result<(Vec<Observation>, Vec<VehicleState>), TrainError>;
-
-    /// Steps the running episode with one command per vehicle.
-    fn step(
-        &mut self,
-        core: &mut LearnerCore<'_>,
-        episode: usize,
-        commands: Vec<VehicleCommand>,
-    ) -> Result<WorldStep, TrainError>;
-
-    /// The world's environment RNG stream position.
-    fn env_rng(&self) -> Vec<u64>;
-
-    /// Called once an episode's metrics are recorded.
-    fn episode_done(&mut self, _episode: usize) {}
-}
-
-/// Runs episodes `core.start_episode..opts.episodes` one at a time on
-/// `host`, with the team's own option cursor. Returns `false` when a
-/// `kill@ep:N` fault stopped the run early.
-pub(crate) fn run_episodes<H: EpisodeHost>(
-    core: &mut LearnerCore<'_>,
+/// Runs episodes `start_episode..opts.episodes` on `host`, restoring each
+/// world's RNG stream and cursor from the checkpoint's `workers` section
+/// when its world count matches. An incomplete run marks telemetry
+/// faulted, so the next flush dumps the flight recorder. Afterwards the
+/// team's joint last-options vector is world 0's.
+pub(crate) fn run<H: WorldHost>(
+    mut core: LearnerCore<'_>,
     host: &mut H,
-) -> Result<bool, TrainError> {
-    for episode in core.start_episode..core.opts.episodes {
-        if core.killed_before(episode) {
-            return Ok(false);
-        }
-        let (mut obs, mut states) = host.reset(core, episode)?;
-        core.team.begin_episode();
-        let mut tally = EpisodeTally::default();
-        let flags = loop {
-            let rollout = telemetry::span("rollout");
-            let commands = core.decide(None, &obs, &states, None);
-            let out = host.step(core, episode, commands)?;
-            core.record(None, &obs, &out, &mut tally);
-            drop(rollout);
-            core.step_done();
-            obs = out.observations;
-            states = out.states;
-            if let Some(flags) = out.outcome {
-                break flags;
+) -> Result<TrainOutcome, TrainError> {
+    let mut cursors: Vec<TeamCursor> = (0..host.worlds()).map(|_| core.team.new_cursor()).collect();
+    if let Some(w) = core.workers.take() {
+        match host.world_rngs() {
+            Some(rngs) if rngs.len() == w.rngs.len() => {
+                *rngs = w.rngs;
+                for (cursor, last) in cursors.iter_mut().zip(w.last_options) {
+                    cursor.set_last_options(last);
+                }
             }
-        };
-        core.episode_done(episode, &flags, &tally);
-        host.episode_done(episode);
-        if core.checkpoint_due(episode + 1) {
-            core.save(episode + 1, host.env_rng(), None);
+            _ => {
+                telemetry::progress(&format!(
+                    "checkpoint has {} worker streams, run has {}; extra worlds start fresh",
+                    w.rngs.len(),
+                    cursors.len()
+                ));
+            }
         }
     }
-    Ok(true)
+    let completed = core.waves(host, &mut cursors);
+    core.team.absorb_cursor(&cursors[0]);
+    let completed = completed?;
+    if !completed {
+        telemetry::mark_faulted();
+    }
+    Ok(TrainOutcome {
+        recorder: core.rec,
+        completed,
+        episodes_run: core.episodes_run,
+    })
 }
 
-/// Steps a [`CooperativeWorld`] on the learner thread.
+/// Steps one [`CooperativeWorld`] on the learner thread.
 pub(crate) struct InlineHost<'e, W>(pub(crate) &'e mut W);
 
-impl<W: CooperativeWorld> EpisodeHost for InlineHost<'_, W> {
-    fn reset(
-        &mut self,
-        _core: &mut LearnerCore<'_>,
-        _episode: usize,
-    ) -> Result<(Vec<Observation>, Vec<VehicleState>), TrainError> {
+impl<W: CooperativeWorld> WorldHost for InlineHost<'_, W> {
+    fn worlds(&self) -> usize {
+        1
+    }
+
+    fn reset(&mut self, _episode: usize, _cap: usize) -> Result<Vec<WorldReset>, FleetLost> {
         let obs = self.0.reset();
-        Ok((obs, vehicle_states(&*self.0)))
+        Ok(vec![(0, obs, vehicle_states(&*self.0))])
     }
 
     fn step(
         &mut self,
-        _core: &mut LearnerCore<'_>,
-        _episode: usize,
-        commands: Vec<VehicleCommand>,
-    ) -> Result<WorldStep, TrainError> {
-        let out = self.0.step(&commands);
+        _worlds: &[usize],
+        commands: Vec<Vec<VehicleCommand>>,
+    ) -> Result<Vec<Option<WorldStep>>, FleetLost> {
+        let out = self.0.step(&commands[0]);
         let env = &*self.0;
-        Ok(WorldStep {
+        Ok(vec![Some(WorldStep {
             states: vehicle_states(env),
             observations: out.observations,
             rewards: out.rewards,
@@ -485,7 +642,7 @@ impl<W: CooperativeWorld> EpisodeHost for InlineHost<'_, W> {
                     (env.has_collided(i), env.needs_merge(i), env.has_merged(i))
                 })
             }),
-        })
+        })])
     }
 
     fn env_rng(&self) -> Vec<u64> {
@@ -562,7 +719,6 @@ mod tests {
         };
         let start = LearnerCore::start(&mut team, &mut env, &opts, &ckpt)
             .expect("a malformed checkpoint starts fresh")
-            .0
             .start_episode;
         let _ = std::fs::remove_dir_all(&dir);
         (

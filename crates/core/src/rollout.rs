@@ -2,40 +2,33 @@
 //! actor threads, learning on a single learner thread.
 //!
 //! Each actor owns a seeded [`BatchWorld`] shard and does nothing but
-//! reset/step worlds on request; all decisions, replay ingestion, updates,
-//! telemetry, and checkpoints happen on the learner thread, in the learner
-//! core shared with sequential training (`crate::learner`). Messages flow
-//! over bounded channels (backpressure, stall detection via
-//! `recv_timeout`).
+//! reset/step worlds on request. This module only hosts worlds: every
+//! decision, replay ingestion, update, telemetry record and checkpoint
+//! happens on the learner thread, in the training loop shared with
+//! sequential training (`crate::learner`), which sees the fleet through
+//! one of two hosts. Messages flow over bounded channels (backpressure,
+//! stall detection via `recv_timeout`).
 //!
-//! Two modes, selected by [`RolloutOptions::batch_worlds`]:
+//! [`RolloutOptions::batch_worlds`] selects the host:
 //!
-//! * **Serial** (`batch_worlds == 1`): one episode in flight at a time,
-//!   hosted round-robin across actors. It is the sequential trainer's own
-//!   episode loop with the world stepped remotely: the logical
-//!   environment RNG stream lives on the learner and is shipped with every
-//!   `Reset`, so the run is **bit-identical to sequential
-//!   [`crate::trainer::train_team`]** — same metric series, same telemetry
-//!   totals, same checkpoint bytes — for any actor count. A stalled actor
-//!   is detected, counted under `actor/stalled`, and its episode
-//!   re-dispatched to a live actor. A lone actor with no planned fault
-//!   would only add a channel round trip per step, so that configuration
-//!   steps its world on the learner thread instead.
+//! * **Serial** (`batch_worlds == 1`): one world, so one episode per wave,
+//!   hosted round-robin across actors. The logical environment RNG stream
+//!   lives on the learner and is shipped with every `Reset`, so the run is
+//!   **bit-identical to sequential [`crate::trainer::train_team`]** — same
+//!   metric series, same telemetry totals, same checkpoint bytes — for any
+//!   actor count. A failed actor's episode is replayed onto a live one. A
+//!   lone actor with no planned fault would only add a channel round trip
+//!   per step, so that configuration steps its world on the learner thread
+//!   instead.
 //! * **Batched** (`batch_worlds > 1`): `actors × batch_worlds` world
-//!   replicas (independent streams via
-//!   [`hero_sim::env::replica_seed`]) run waves of episodes concurrently;
-//!   policy forward passes for all deciding worlds are batched into single
-//!   tiled matmuls ([`crate::agent::HeroAgent::batch_logits`]). Batched
-//!   runs are self-reproducible (same seeds → same bits, and kill/resume
-//!   is bit-identical via the checkpoint `workers` section) but not
+//!   replicas (independent streams via [`hero_sim::env::replica_seed`]) run
+//!   waves of episodes concurrently; the loop batches the policy forwards
+//!   of all deciding worlds, and the host resets a wave with one fan-out
+//!   per actor and steps it with one request per actor. Batched runs are
+//!   self-reproducible (same seeds → same bits, and kill/resume is
+//!   bit-identical via the checkpoint `workers` section) but not
 //!   step-for-step equal to sequential training, because episodes
-//!   interleave. The batching itself changes no bit: rows are independent
-//!   under the strict kernels, so a batched row equals its single-row
-//!   forward.
-//!
-//! Waves never cross a `kill@ep:N` or checkpoint boundary, so fault
-//! injection and snapshot cadence behave exactly as in the sequential
-//! loop.
+//!   interleave.
 //!
 //! ## Supervision
 //!
@@ -56,13 +49,12 @@
 //!    and ingest only the missing reply. Counted under `actor/respawned`.
 //! 2. **Degrade** — a slot that exhausts its budget is retired for good
 //!    (`supervisor/degraded`); the run continues on fewer actors, which in
-//!    serial mode cannot perturb a single bit of the output.
-//! 3. **Abort** — when no live actor remains, the learner writes an
-//!    emergency checkpoint if it is at a clean episode boundary (mid-episode
-//!    state is half-ingested and would poison a resume —
-//!    `supervisor/emergency_skipped`), then fails typed with
-//!    [`TrainError::FleetLost`] instead of deadlocking or returning a
-//!    silent partial run.
+//!    serial mode cannot perturb a single bit of the output. A batched
+//!    slot's running worlds are abandoned (`supervisor/abandoned_worlds`).
+//! 3. **Abort** — when no live actor remains, the host reports the fleet
+//!    lost and the training loop ends the run with
+//!    [`TrainError::FleetLost`], after an emergency checkpoint if it is at
+//!    a clean episode boundary.
 //!
 //! Fault-plan actor faults (`stall@actor:N`, `panic@actor:N`,
 //! `slow@actor:N:MS`) apply to generation 0 of a slot only, so a chaos
@@ -76,7 +68,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
-use hero_autograd::TensorPool;
 use hero_faultplan::FaultPlan;
 use hero_rl::telemetry;
 use hero_rl::telemetry::{CapturedEvent, FlightEventKind};
@@ -84,11 +75,9 @@ use hero_sim::batch::BatchWorld;
 use hero_sim::env::{CooperativeWorld, EnvConfig, LaneChangeEnv, Observation, VehicleSpawn};
 use hero_sim::vehicle::{VehicleCommand, VehicleState};
 
-use crate::checkpoint::WorkerStates;
-use crate::learner::{run_episodes, EpisodeHost, EpisodeTally, LearnerCore, WorldFlags, WorldStep};
+use crate::learner::{self, FleetLost, LearnerCore, WorldFlags, WorldHost, WorldReset, WorldStep};
 use crate::trainer::{
-    train_team_checkpointed, CheckpointConfig, HeroTeam, TeamCursor, TrainError, TrainOptions,
-    TrainOutcome,
+    train_team_checkpointed, CheckpointConfig, HeroTeam, TrainError, TrainOptions, TrainOutcome,
 };
 
 /// Knobs of the actor/learner rollout engine.
@@ -99,9 +88,6 @@ pub struct RolloutOptions {
     /// World replicas per actor. `1` selects serial mode (bit-identical to
     /// sequential training); `> 1` selects batched mode.
     pub batch_worlds: usize,
-    /// Bounded-channel capacity per actor (raised to `batch_worlds` when
-    /// smaller, so a full wave of resets never deadlocks).
-    pub channel_capacity: usize,
     /// How long the learner waits on an actor before declaring it stalled.
     pub stall_timeout: Duration,
     /// How many times the supervisor respawns a failed actor slot before
@@ -119,7 +105,6 @@ impl Default for RolloutOptions {
         Self {
             actors: 1,
             batch_worlds: 1,
-            channel_capacity: 4,
             stall_timeout: Duration::from_secs(30),
             max_respawns: 2,
             respawn_backoff_ms: 10,
@@ -210,15 +195,17 @@ struct ActorSpawner {
     spawns: Vec<VehicleSpawn>,
     seed: u64,
     worlds: usize,
-    cap: usize,
     capture: bool,
     shutdown: Arc<AtomicBool>,
 }
 
 impl ActorSpawner {
     fn spawn(&self, index: usize, generation: u64, fault: ActorFault) -> ActorSlot {
-        let (tx_cmd, rx_cmd) = channel::bounded::<ToActor>(self.cap);
-        let (tx_res, rx_res) = channel::bounded::<FromActor>(self.cap);
+        // The reset fan-out sends one request per world before it reads a
+        // reply; every other exchange is one request and one reply. So a
+        // shard's world count bounds both channels without deadlock.
+        let (tx_cmd, rx_cmd) = channel::bounded::<ToActor>(self.worlds);
+        let (tx_res, rx_res) = channel::bounded::<FromActor>(self.worlds);
         let cfg = self.env_cfg;
         let spawns = self.spawns.clone();
         let (seed, worlds, capture) = (self.seed, self.worlds, self.capture);
@@ -365,12 +352,12 @@ impl LiveNames {
     }
 }
 
-/// The supervised actor fleet, plus every world's environment RNG stream,
-/// which the learner keeps for it.
+/// The supervised actor fleet, plus the environment RNG stream of every
+/// world it hosts, which the learner keeps for it.
 struct Fleet<'a> {
     rollout: &'a RolloutOptions,
-    /// One environment RNG stream per world; world 0's continues the
-    /// caller's own environment.
+    /// One environment RNG stream per hosted world; world 0's continues
+    /// the caller's own environment.
     world_rng: Vec<Vec<u64>>,
     slots: Vec<ActorSlot>,
     spawner: ActorSpawner,
@@ -382,30 +369,42 @@ struct Fleet<'a> {
     // the metrics exporter and `hero-top`. Never consulted by any
     // training decision, so it cannot perturb determinism.
     engine_start: Instant,
+    wave_t0: Instant,
     outstanding: Vec<u64>,
     busy_us: Vec<u64>,
-    wave_no: u64,
     pending_redispatch: Vec<usize>,
     names: LiveNames,
 }
 
 impl<'a> Fleet<'a> {
     /// Spawns `rollout.actors` actors, each building a shard of
-    /// `rollout.batch_worlds` replicas of `env`. Generation 0 carries the
-    /// fault plan's actor faults.
-    fn spawn(
-        env: &LaneChangeEnv,
-        rollout: &'a RolloutOptions,
-        world_rng: Vec<Vec<u64>>,
-        plan: &FaultPlan,
-    ) -> Self {
+    /// `rollout.batch_worlds` replicas of `env`, and seats the streams of
+    /// the worlds they host: world 0 alone in serial mode, every replica
+    /// in batched mode. Generation 0 carries the fault plan's actor faults.
+    fn spawn(env: &LaneChangeEnv, rollout: &'a RolloutOptions, plan: &FaultPlan) -> Self {
         let actors = rollout.actors;
+        let worlds = match rollout.batch_worlds {
+            1 => 1,
+            per_actor => actors * per_actor,
+        };
+        // World 0 is the canonical env's own stream (so serial mode
+        // continues it exactly); worlds g > 0 get independent replica
+        // streams. Building the worlds senses each one once purely to read
+        // its RNG stream; capture and discard that telemetry, because a
+        // resumed run imports the checkpoint's totals (which already
+        // counted the original construction) and then rebuilds the worlds
+        // again — without the discard its sensor counters would exceed an
+        // uninterrupted run's.
+        telemetry::begin_capture();
+        let fresh = BatchWorld::new(*env.config(), env.spawns().to_vec(), env.seed(), worlds);
+        let _ = telemetry::take_capture();
+        let mut world_rng: Vec<Vec<u64>> = (0..worlds).map(|g| fresh.rng_state(g)).collect();
+        world_rng[0] = env.rng_state();
         let spawner = ActorSpawner {
             env_cfg: *env.config(),
             spawns: env.spawns().to_vec(),
             seed: env.seed(),
             worlds: rollout.batch_worlds,
-            cap: rollout.channel_capacity.max(rollout.batch_worlds).max(1),
             capture: telemetry::is_enabled(),
             shutdown: Arc::new(AtomicBool::new(false)),
         };
@@ -420,9 +419,9 @@ impl<'a> Fleet<'a> {
             zombies: Vec::new(),
             dead: vec![false; actors],
             engine_start: Instant::now(),
+            wave_t0: Instant::now(),
             outstanding: vec![0; actors],
             busy_us: vec![0; actors],
-            wave_no: 0,
             pending_redispatch: Vec::new(),
             names: LiveNames::new(actors),
         }
@@ -543,50 +542,38 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// The ladder's last rung: no live actor remains. Saves an emergency
-    /// checkpoint when at a clean episode boundary (`boundary` carries the
-    /// next episode index and, in batched mode, the worker states), marks
-    /// the run faulted, and returns the typed abort for the caller to
-    /// propagate.
-    fn fleet_lost(
-        &mut self,
-        core: &mut LearnerCore<'_>,
-        boundary: Option<(usize, Option<WorkerStates>)>,
-    ) -> TrainError {
-        telemetry::counter_add("supervisor/fleet_lost", 1);
-        telemetry::mark_faulted();
-        let saved = match boundary {
-            Some((next_episode, workers)) => {
-                core.save(next_episode, self.world_rng[0].clone(), workers)
-            }
-            None => {
-                // Mid-episode state is half-ingested; snapshotting it
-                // would poison a resume, so the ladder skips the save.
-                telemetry::counter_add("supervisor/emergency_skipped", 1);
-                false
-            }
-        };
-        if saved {
-            telemetry::counter_add("supervisor/emergency_saved", 1);
-        }
-        let episodes_run = core.episodes_run;
-        telemetry::flight_event(FlightEventKind::EmergencyCheckpoint {
-            episodes: episodes_run as u64,
-            saved: saved as u64,
-        });
-        telemetry::progress(&format!(
-            "actor fleet lost after {episodes_run} episode(s); emergency checkpoint {}",
-            if saved { "saved" } else { "not saved" }
-        ));
-        let _ = telemetry::flush();
-        TrainError::FleetLost {
-            episodes_run,
-            emergency_checkpoint_saved: saved,
+    /// Climbs the ladder at a wave boundary; [`FleetLost`] once no live
+    /// actor remains.
+    fn supervise(&mut self) -> Result<(), FleetLost> {
+        self.supervise_failed();
+        match self.live_actors() {
+            0 => Err(FleetLost),
+            _ => Ok(()),
         }
     }
 
     fn live_actors(&self) -> usize {
         self.dead.iter().filter(|d| !**d).count()
+    }
+
+    /// Starts wave `wave` over `worlds` worlds.
+    fn wave_dispatched(&mut self, wave: u64, worlds: usize) {
+        self.wave_t0 = Instant::now();
+        telemetry::flight_event(FlightEventKind::WaveDispatched {
+            wave,
+            worlds: worlds as u64,
+        });
+    }
+
+    /// Ends wave `wave`, which started `episodes` episodes.
+    fn wave_completed(&self, wave: u64, episodes: usize) {
+        telemetry::flight_event(FlightEventKind::WaveCompleted {
+            wave,
+            episodes: episodes as u64,
+        });
+        if !telemetry::disabled() {
+            telemetry::live_observe("live/wave_us", self.wave_t0.elapsed().as_secs_f64() * 1e6);
+        }
     }
 
     /// Refreshes the aggregate queue/actor gauges. Only called from
@@ -749,105 +736,45 @@ impl<'a> Fleet<'a> {
             // (respawn budget permitting) or report the fleet lost.
         }
     }
-
-    /// Batched-mode recovery: replay actor `a`'s still-running worlds of
-    /// this wave onto a respawned incarnation. Returns `false` when the
-    /// slot is retired (its in-flight episodes are abandoned and re-run as
-    /// fresh episodes by the surviving fleet).
-    fn recover_actor_batched(
-        &mut self,
-        a: usize,
-        worlds_a: &[usize],
-        ep_rng0: &[Vec<u64>],
-        wave_cmd_log: &[Vec<Vec<VehicleCommand>>],
-        wave_no: u64,
-        msgs: &mut [Option<WorldStepMsg>],
-    ) -> bool {
-        'attempt: loop {
-            self.supervise_failed();
-            if self.dead[a] {
-                telemetry::counter_add("supervisor/abandoned_worlds", worlds_a.len() as u64);
-                telemetry::progress(&format!(
-                    "actor {a} unrecoverable; abandoning {} in-flight episode(s)",
-                    worlds_a.len()
-                ));
-                return false;
-            }
-            let mut replayed = 0u64;
-            for &g in worlds_a {
-                let log = &wave_cmd_log[g];
-                let Some((msg, events)) = self.replay_world(a, g, &ep_rng0[g], log)
-                else {
-                    continue 'attempt;
-                };
-                telemetry::replay(events);
-                msgs[g] = Some(msg);
-                replayed += log.len() as u64 - 1;
-            }
-            telemetry::counter_add("actor/replayed_steps", replayed);
-            telemetry::flight_event(FlightEventKind::Redispatched {
-                actor: a as u64,
-                wave: wave_no,
-            });
-            telemetry::progress(&format!(
-                "wave {wave_no} recovered actor {a}'s {} world(s) after replaying {replayed} step(s)",
-                worlds_a.len()
-            ));
-            return true;
-        }
-    }
-
-    fn worker_states(&self, cursors: &[TeamCursor]) -> WorkerStates {
-        WorkerStates {
-            rngs: self.world_rng.clone(),
-            last_options: cursors.iter().map(|c| c.last_options().to_vec()).collect(),
-        }
-    }
 }
 
-/// Serial mode's [`EpisodeHost`]: each episode runs on the round-robin
+/// Serial mode's host: one world, whose episode runs on the round-robin
 /// actor and can be replayed onto another (or a respawned) actor from its
 /// start stream and command log.
 struct SerialHost<'f, 'a> {
     fleet: &'f mut Fleet<'a>,
-    /// The actor hosting the running episode.
+    /// The running episode, and the actor hosting it.
+    episode: usize,
     actor: usize,
     /// The running episode's start stream and the commands sent so far:
     /// enough to rebuild it on a fresh shard.
     ep_rng0: Vec<u64>,
     cmd_log: Vec<Vec<VehicleCommand>>,
-    wave_t0: Instant,
 }
 
 impl<'f, 'a> SerialHost<'f, 'a> {
     fn new(fleet: &'f mut Fleet<'a>) -> Self {
         Self {
             fleet,
+            episode: 0,
             actor: 0,
             ep_rng0: Vec::new(),
             cmd_log: Vec::new(),
-            wave_t0: Instant::now(),
         }
     }
 }
 
-impl EpisodeHost for SerialHost<'_, '_> {
-    fn reset(
-        &mut self,
-        core: &mut LearnerCore<'_>,
-        episode: usize,
-    ) -> Result<(Vec<Observation>, Vec<VehicleState>), TrainError> {
+impl WorldHost for SerialHost<'_, '_> {
+    fn worlds(&self) -> usize {
+        1
+    }
+
+    fn reset(&mut self, episode: usize, _cap: usize) -> Result<Vec<WorldReset>, FleetLost> {
         let fleet = &mut *self.fleet;
-        fleet.supervise_failed();
-        if fleet.live_actors() == 0 {
-            return Err(fleet.fleet_lost(core, Some((episode, None))));
-        }
-        // One episode is one wave of one world.
-        self.wave_t0 = Instant::now();
-        telemetry::flight_event(FlightEventKind::WaveDispatched {
-            wave: episode as u64,
-            worlds: 1,
-        });
+        fleet.supervise()?;
+        // One episode is one wave of one world, numbered by the episode.
+        self.episode = episode;
+        fleet.wave_dispatched(episode as u64, 1);
         self.ep_rng0 = fleet.world_rng[0].clone();
         self.cmd_log.clear();
         // Host the episode on the round-robin actor, skipping (and
@@ -866,9 +793,7 @@ impl EpisodeHost for SerialHost<'_, '_> {
             _ => None,
         });
         fleet.pending_redispatch.clear();
-        let Some((a, offset, (observations, states, rng, events))) = hosted else {
-            return Err(fleet.fleet_lost(core, Some((episode, None))));
-        };
+        let (a, offset, (observations, states, rng, events)) = hosted.ok_or(FleetLost)?;
         telemetry::replay(events);
         fleet.world_rng[0] = rng;
         if offset > 0 {
@@ -880,16 +805,16 @@ impl EpisodeHost for SerialHost<'_, '_> {
             });
         }
         self.actor = a;
-        Ok((observations, states))
+        Ok(vec![(0, observations, states)])
     }
 
     fn step(
         &mut self,
-        core: &mut LearnerCore<'_>,
-        episode: usize,
-        commands: Vec<VehicleCommand>,
-    ) -> Result<WorldStep, TrainError> {
-        let fleet = &mut *self.fleet;
+        _worlds: &[usize],
+        mut commands: Vec<Vec<VehicleCommand>>,
+    ) -> Result<Vec<Option<WorldStep>>, FleetLost> {
+        let commands = commands.pop().expect("the serial host steps one world");
+        let (fleet, episode) = (&mut *self.fleet, self.episode);
         self.cmd_log.push(commands.clone());
         let mut delivered = None;
         let msg = ToActor::Step {
@@ -923,104 +848,127 @@ impl EpisodeHost for SerialHost<'_, '_> {
                     (a, msg, events)
                 });
         }
-        let Some((host, msg, events)) = delivered else {
-            return Err(fleet.fleet_lost(core, None));
-        };
+        let (host, msg, events) = delivered.ok_or(FleetLost)?;
         self.actor = host;
         telemetry::replay(events);
-        Ok(msg.step)
+        Ok(vec![Some(msg.step)])
+    }
+
+    fn wave_done(&mut self, started: usize) {
+        self.fleet.wave_completed(self.episode as u64, started);
     }
 
     fn env_rng(&self) -> Vec<u64> {
         self.fleet.world_rng[0].clone()
     }
+}
 
-    fn episode_done(&mut self, episode: usize) {
-        telemetry::flight_event(FlightEventKind::WaveCompleted {
-            wave: episode as u64,
-            episodes: 1,
-        });
-        if !telemetry::disabled() {
-            telemetry::live_observe("live/wave_us", self.wave_t0.elapsed().as_secs_f64() * 1e6);
+/// Batched mode's host: `actors × batch_worlds` worlds, reset per wave
+/// with one fan-out per actor and stepped with one request per actor. A
+/// failed actor's running worlds are replayed onto its respawned slot, and
+/// abandoned once the slot is retired.
+struct BatchedHost<'f, 'a> {
+    fleet: &'f mut Fleet<'a>,
+    /// The running wave's number, and how many waves were dispatched.
+    wave: u64,
+    dispatched: u64,
+    /// Each world's episode-start stream and the commands sent in its
+    /// episode so far: enough to rebuild it on a fresh shard.
+    ep_rng0: Vec<Vec<u64>>,
+    cmd_log: Vec<Vec<Vec<VehicleCommand>>>,
+}
+
+impl<'f, 'a> BatchedHost<'f, 'a> {
+    fn new(fleet: &'f mut Fleet<'a>) -> Self {
+        let worlds = fleet.world_rng.len();
+        Self {
+            fleet,
+            wave: 0,
+            dispatched: 0,
+            ep_rng0: vec![Vec::new(); worlds],
+            cmd_log: vec![Vec::new(); worlds],
         }
     }
 }
 
-/// Batched mode: waves of episodes across all world replicas, with
-/// per-wave resets, batched policy forwards, and batched world steps.
-/// Returns `false` when a `kill@ep:N` fault stopped the run early.
-fn batched_run(
-    core: &mut LearnerCore<'_>,
-    fleet: &mut Fleet<'_>,
-    cursors: &mut [TeamCursor],
-) -> Result<bool, TrainError> {
-    let actors = fleet.slots.len();
-    let per_actor = fleet.rollout.batch_worlds;
-    let total = actors * per_actor;
-    let learners = core.learners.clone();
-    let n_agents = learners.len();
-    let mut completed_total = core.start_episode;
-
-    let mut obs: Vec<Vec<Observation>> = vec![Vec::new(); total];
-    let mut states: Vec<Vec<VehicleState>> = vec![Vec::new(); total];
-    // Buffers of the batched decide forwards, kept across waves.
-    let mut pool = TensorPool::new();
-
-    while completed_total < core.opts.episodes {
-        if core.killed_before(completed_total) {
-            return Ok(false);
-        }
-        fleet.supervise_failed();
-        if fleet.live_actors() == 0 {
-            core.team.absorb_cursor(&cursors[0]);
-            let workers = fleet.worker_states(cursors);
-            return Err(fleet.fleet_lost(core, Some((completed_total, Some(workers)))));
-        }
-        // Wave size: every live world runs one episode, capped so the wave
-        // never crosses the remaining-episode count, a scheduled kill, or
-        // a checkpoint boundary.
-        let live_worlds: Vec<usize> = (0..total).filter(|g| !fleet.dead[g / per_actor]).collect();
-        let mut wave = live_worlds.len().min(core.opts.episodes - completed_total);
-        if let Some(k) = core.ckpt.fault_plan.kill_episode() {
-            if k > completed_total {
-                wave = wave.min(k - completed_total);
+impl BatchedHost<'_, '_> {
+    /// Replays actor `a`'s running worlds onto a respawned incarnation.
+    /// Returns `false` when the slot is retired instead: its worlds are
+    /// abandoned, and later waves rerun their episodes on the surviving
+    /// fleet.
+    fn recover(&mut self, a: usize, worlds_a: &[usize], msgs: &mut [Option<WorldStepMsg>]) -> bool {
+        let fleet = &mut *self.fleet;
+        'attempt: loop {
+            fleet.supervise_failed();
+            if fleet.dead[a] {
+                telemetry::counter_add("supervisor/abandoned_worlds", worlds_a.len() as u64);
+                telemetry::progress(&format!(
+                    "actor {a} unrecoverable; abandoning {} in-flight episode(s)",
+                    worlds_a.len()
+                ));
+                return false;
             }
+            let mut replayed = 0u64;
+            for &g in worlds_a {
+                let log = &self.cmd_log[g];
+                let Some((msg, events)) = fleet.replay_world(a, g, &self.ep_rng0[g], log) else {
+                    continue 'attempt;
+                };
+                telemetry::replay(events);
+                msgs[g] = Some(msg);
+                replayed += log.len() as u64 - 1;
+            }
+            telemetry::counter_add("actor/replayed_steps", replayed);
+            telemetry::flight_event(FlightEventKind::Redispatched {
+                actor: a as u64,
+                wave: self.wave,
+            });
+            telemetry::progress(&format!(
+                "wave {} recovered actor {a}'s {} world(s) after replaying {replayed} step(s)",
+                self.wave,
+                worlds_a.len()
+            ));
+            return true;
         }
-        if core.ckpt.every > 0 {
-            wave = wave.min(core.ckpt.every - completed_total % core.ckpt.every);
-        }
-        let assigned: Vec<usize> = live_worlds.into_iter().take(wave).collect();
+    }
+}
 
-        let wave_no = fleet.wave_no;
-        fleet.wave_no += 1;
-        let wave_t0 = Instant::now();
-        telemetry::flight_event(FlightEventKind::WaveDispatched {
-            wave: wave_no,
-            worlds: assigned.len() as u64,
-        });
+impl WorldHost for BatchedHost<'_, '_> {
+    fn worlds(&self) -> usize {
+        self.fleet.world_rng.len()
+    }
+
+    fn reset(&mut self, _episode: usize, cap: usize) -> Result<Vec<WorldReset>, FleetLost> {
+        let fleet = &mut *self.fleet;
+        fleet.supervise()?;
+        // Every live world runs one episode, up to the loop's cap.
+        let per_actor = fleet.rollout.batch_worlds;
+        let worlds: Vec<usize> = (0..fleet.world_rng.len())
+            .filter(|g| !fleet.dead[g / per_actor])
+            .take(cap)
+            .collect();
+        self.wave = self.dispatched;
+        self.dispatched += 1;
+        fleet.wave_dispatched(self.wave, worlds.len());
         // Worlds stranded on previously failed actors are folded back into
         // this wave's live assignment.
-        if !assigned.is_empty() {
-            for _failed in std::mem::take(&mut fleet.pending_redispatch) {
-                telemetry::flight_event(FlightEventKind::Redispatched {
-                    actor: (assigned[0] / per_actor) as u64,
-                    wave: wave_no,
-                });
-            }
+        for _failed in std::mem::take(&mut fleet.pending_redispatch) {
+            telemetry::flight_event(FlightEventKind::Redispatched {
+                actor: (worlds[0] / per_actor) as u64,
+                wave: self.wave,
+            });
         }
-
-        // Reset the wave's worlds (grouped per actor, received in actor
-        // order — deterministic regardless of thread timing). Each world's
+        // Send every reset, then receive them grouped per actor in actor
+        // order — deterministic regardless of thread timing. Each world's
         // start stream is kept for mid-wave replay.
-        let mut ep_rng0: Vec<Vec<u64>> = vec![Vec::new(); total];
-        let mut wave_cmd_log: Vec<Vec<Vec<VehicleCommand>>> = vec![Vec::new(); total];
-        let mut sent = vec![0usize; actors];
-        for &g in &assigned {
+        let mut sent = vec![0usize; fleet.slots.len()];
+        for &g in &worlds {
             let a = g / per_actor;
             if fleet.dead[a] {
                 continue;
             }
-            ep_rng0[g] = fleet.world_rng[g].clone();
+            self.ep_rng0[g].clone_from(&fleet.world_rng[g]);
+            self.cmd_log[g].clear();
             let msg = ToActor::Reset {
                 world: g % per_actor,
                 rng: fleet.world_rng[g].clone(),
@@ -1029,167 +977,103 @@ fn batched_run(
                 sent[a] += 1;
             }
         }
-        let mut active: Vec<usize> = Vec::new();
+        let mut resets = Vec::with_capacity(worlds.len());
         for (a, &count) in sent.iter().enumerate() {
             for _ in 0..count {
                 if fleet.dead[a] {
                     break;
                 }
-                match fleet.recv(a) {
-                    Some(FromActor::ResetDone {
-                        world,
-                        observations,
-                        states: st,
-                        rng,
-                        events,
-                    }) => {
-                        telemetry::replay(events);
-                        let g = a * per_actor + world;
-                        fleet.world_rng[g] = rng;
-                        obs[g] = observations;
-                        states[g] = st;
-                        cursors[g].begin_episode();
-                        active.push(g);
-                    }
-                    _ => break, // recv classified the actor's failure
-                }
+                let Some(FromActor::ResetDone {
+                    world,
+                    observations,
+                    states,
+                    rng,
+                    events,
+                }) = fleet.recv(a)
+                else {
+                    break; // recv classified the actor's failure
+                };
+                telemetry::replay(events);
+                let g = a * per_actor + world;
+                fleet.world_rng[g] = rng;
+                resets.push((g, observations, states));
             }
         }
-        if active.is_empty() {
-            continue; // all reset targets failed; retry after supervision
-        }
-
-        let mut tally = vec![EpisodeTally::default(); total];
-        let mut running = active.clone();
-        while !running.is_empty() {
-            // Phase B: decide for every running world (world order).
-            // Policy forwards for all worlds still selecting an option are
-            // batched per agent into one matmul; the RNG draws stay
-            // strictly in world order.
-            let mut msgs: Vec<Option<WorldStepMsg>> = (0..total).map(|_| None).collect();
-            let mut abandoned: Vec<usize> = Vec::new();
-            {
-                let _rollout_span = telemetry::span("rollout");
-                let mut logits: Vec<Vec<Option<Vec<f32>>>> =
-                    vec![vec![None; n_agents]; running.len()];
-                if running.len() > 1 {
-                    for (k, &v) in learners.iter().enumerate() {
-                        let sel: Vec<usize> = running
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &g)| cursors[g].agents()[k].current_option().is_none())
-                            .map(|(pos, _)| pos)
-                            .collect();
-                        if sel.len() > 1 {
-                            let rows_owned: Vec<Vec<f32>> = sel
-                                .iter()
-                                .map(|&pos| obs[running[pos]][v].high_vec())
-                                .collect();
-                            let rows: Vec<&[f32]> =
-                                rows_owned.iter().map(|r| r.as_slice()).collect();
-                            let batched = core.team.agents()[k].batch_logits(&rows, &mut pool);
-                            for (row, &pos) in batched.into_iter().zip(&sel) {
-                                logits[pos][k] = Some(row);
-                            }
-                        }
-                    }
-                }
-                let mut groups: Vec<(Vec<usize>, Vec<Vec<VehicleCommand>>)> =
-                    vec![(Vec::new(), Vec::new()); actors];
-                for (pos, &g) in running.iter().enumerate() {
-                    let commands = core.decide(
-                        Some(&mut cursors[g]),
-                        &obs[g],
-                        &states[g],
-                        Some(logits[pos].as_slice()),
-                    );
-                    wave_cmd_log[g].push(commands.clone());
-                    let a = g / per_actor;
-                    groups[a].0.push(g % per_actor);
-                    groups[a].1.push(commands);
-                }
-                let mut failed_send = vec![false; actors];
-                for (a, (worlds, commands)) in groups.into_iter().enumerate() {
-                    if worlds.is_empty() {
-                        continue;
-                    }
-                    failed_send[a] = !fleet.send_to(a, ToActor::Step { worlds, commands });
-                }
-                for a in 0..actors {
-                    let worlds_a: Vec<usize> = running
-                        .iter()
-                        .copied()
-                        .filter(|&g| g / per_actor == a)
-                        .collect();
-                    if worlds_a.is_empty() {
-                        continue;
-                    }
-                    let ok = !failed_send[a]
-                        && !fleet.dead[a]
-                        && match fleet.recv(a) {
-                            Some(FromActor::StepDone { steps, events }) => {
-                                telemetry::replay(events);
-                                for m in steps {
-                                    let g = a * per_actor + m.world;
-                                    msgs[g] = Some(m);
-                                }
-                                true
-                            }
-                            _ => false,
-                        };
-                    if !ok
-                        && !fleet.recover_actor_batched(
-                            a,
-                            &worlds_a,
-                            &ep_rng0,
-                            &wave_cmd_log,
-                            wave_no,
-                            &mut msgs,
-                        )
-                    {
-                        if fleet.live_actors() == 0 {
-                            return Err(fleet.fleet_lost(core, None));
-                        }
-                        abandoned.extend(worlds_a);
-                    }
-                }
-            }
-            if !abandoned.is_empty() {
-                running.retain(|g| !abandoned.contains(g));
-            }
-
-            // Phase A: ingest results in global world order.
-            let mut still = Vec::new();
-            for &g in &running {
-                let step = msgs[g].take().expect("actor stepped this world").step;
-                core.record(Some(&mut cursors[g]), &obs[g], &step, &mut tally[g]);
-                core.step_done();
-                obs[g] = step.observations;
-                states[g] = step.states;
-                if let Some(flags) = &step.outcome {
-                    core.episode_done(completed_total, flags, &tally[g]);
-                    completed_total += 1;
-                } else {
-                    still.push(g);
-                }
-            }
-            running = still;
-        }
-        telemetry::flight_event(FlightEventKind::WaveCompleted {
-            wave: wave_no,
-            episodes: active.len() as u64,
-        });
-        if !telemetry::disabled() {
-            telemetry::live_observe("live/wave_us", wave_t0.elapsed().as_secs_f64() * 1e6);
-        }
-
-        if core.checkpoint_due(completed_total) {
-            core.team.absorb_cursor(&cursors[0]);
-            let workers = fleet.worker_states(cursors);
-            core.save(completed_total, fleet.world_rng[0].clone(), Some(workers));
-        }
+        Ok(resets)
     }
-    Ok(true)
+
+    fn step(
+        &mut self,
+        worlds: &[usize],
+        commands: Vec<Vec<VehicleCommand>>,
+    ) -> Result<Vec<Option<WorldStep>>, FleetLost> {
+        let per_actor = self.fleet.rollout.batch_worlds;
+        let actors = self.fleet.slots.len();
+        let mut groups: Vec<(Vec<usize>, Vec<Vec<VehicleCommand>>)> =
+            vec![(Vec::new(), Vec::new()); actors];
+        for (&g, commands) in worlds.iter().zip(commands) {
+            self.cmd_log[g].push(commands.clone());
+            let group = &mut groups[g / per_actor];
+            group.0.push(g % per_actor);
+            group.1.push(commands);
+        }
+        let mut failed_send = vec![false; actors];
+        for (a, (worlds, commands)) in groups.into_iter().enumerate() {
+            if !worlds.is_empty() {
+                failed_send[a] = !self.fleet.send_to(a, ToActor::Step { worlds, commands });
+            }
+        }
+        let mut msgs: Vec<Option<WorldStepMsg>> = (0..self.ep_rng0.len()).map(|_| None).collect();
+        let mut abandoned: Vec<usize> = Vec::new();
+        for (a, send_failed) in failed_send.into_iter().enumerate() {
+            let worlds_a: Vec<usize> = worlds
+                .iter()
+                .copied()
+                .filter(|&g| g / per_actor == a)
+                .collect();
+            if worlds_a.is_empty() {
+                continue;
+            }
+            let ok = !send_failed
+                && !self.fleet.dead[a]
+                && match self.fleet.recv(a) {
+                    Some(FromActor::StepDone { steps, events }) => {
+                        telemetry::replay(events);
+                        for m in steps {
+                            let g = a * per_actor + m.world;
+                            msgs[g] = Some(m);
+                        }
+                        true
+                    }
+                    _ => false,
+                };
+            if !ok && !self.recover(a, &worlds_a, &mut msgs) {
+                if self.fleet.live_actors() == 0 {
+                    return Err(FleetLost);
+                }
+                abandoned.extend(worlds_a);
+            }
+        }
+        Ok(worlds
+            .iter()
+            .map(|g| {
+                (!abandoned.contains(g))
+                    .then(|| msgs[*g].take().expect("actor stepped this world").step)
+            })
+            .collect())
+    }
+
+    fn wave_done(&mut self, started: usize) {
+        self.fleet.wave_completed(self.wave, started);
+    }
+
+    fn env_rng(&self) -> Vec<u64> {
+        self.fleet.world_rng[0].clone()
+    }
+
+    fn world_rngs(&mut self) -> Option<&mut Vec<Vec<u64>>> {
+        Some(&mut self.fleet.world_rng)
+    }
 }
 
 /// [`crate::trainer::train_team_checkpointed`] with rollout split across
@@ -1224,67 +1108,15 @@ pub fn train_team_actor_learner(
     {
         return train_team_checkpointed(team, env, opts, ckpt);
     }
-    let serial = rollout.batch_worlds == 1;
-    let total_worlds = if serial {
-        1
+    let core = LearnerCore::start(team, env, opts, ckpt)?;
+    let mut fleet = Fleet::spawn(env, rollout, &ckpt.fault_plan);
+    let outcome = if rollout.batch_worlds == 1 {
+        learner::run(core, &mut SerialHost::new(&mut fleet))
     } else {
-        rollout.actors * rollout.batch_worlds
-    };
-    let (mut core, restored_workers) = LearnerCore::start(team, env, opts, ckpt)?;
-
-    // The learner owns every world's environment RNG stream; world 0 is
-    // the canonical env's own stream (so serial mode continues it
-    // exactly), worlds g > 0 get independent replica streams. Building
-    // the worlds senses each one once purely to read its RNG stream;
-    // capture and discard that telemetry, because a resumed run imports
-    // the checkpoint's totals (which already counted the original
-    // construction) and then rebuilds the worlds again — without the
-    // discard its sensor counters would exceed an uninterrupted run's.
-    telemetry::begin_capture();
-    let fresh = BatchWorld::new(*env.config(), env.spawns().to_vec(), env.seed(), total_worlds);
-    let _ = telemetry::take_capture();
-    let mut world_rng: Vec<Vec<u64>> = (0..total_worlds)
-        .map(|g| {
-            if g == 0 {
-                env.rng_state()
-            } else {
-                fresh.rng_state(g)
-            }
-        })
-        .collect();
-    // Serial mode steps its one world on the team's own cursor; batched
-    // mode keeps one cursor per world.
-    let mut cursors: Vec<TeamCursor> = if serial {
-        Vec::new()
-    } else {
-        (0..total_worlds).map(|_| core.team.new_cursor()).collect()
-    };
-    if let Some(w) = &restored_workers {
-        if w.rngs.len() == cursors.len() {
-            for (g, cursor) in cursors.iter_mut().enumerate() {
-                world_rng[g].clone_from(&w.rngs[g]);
-                cursor.set_last_options(w.last_options[g].clone());
-            }
-        } else {
-            telemetry::progress(&format!(
-                "checkpoint has {} worker streams, run has {}; extra worlds start fresh",
-                w.rngs.len(),
-                total_worlds
-            ));
-        }
-    }
-
-    let mut fleet = Fleet::spawn(env, rollout, world_rng, &ckpt.fault_plan);
-    let result = if serial {
-        run_episodes(&mut core, &mut SerialHost::new(&mut fleet))
-    } else {
-        batched_run(&mut core, &mut fleet, &mut cursors)
+        learner::run(core, &mut BatchedHost::new(&mut fleet))
     };
     env.set_rng_state(&fleet.shut_down());
-    if let Some(c) = cursors.first() {
-        core.team.absorb_cursor(c);
-    }
-    result.map(|completed| core.finish(completed))
+    outcome
 }
 
 #[cfg(test)]
@@ -1406,5 +1238,397 @@ mod tests {
         }
         assert_eq!(team_a, team_b);
         assert_eq!(env_a, env_b);
+    }
+
+    /// How a test cuts an actor off from the learner.
+    #[derive(Clone, Copy, Debug)]
+    enum Cut {
+        /// Drops the actor's command sender: the actor thread exits and
+        /// the learner's next send takes the disconnect path.
+        Disconnect,
+        /// Swaps in channels nobody serves: the learner's next receive
+        /// times out and takes the stall path.
+        Stall,
+    }
+
+    /// The far ends of swapped-in channels, kept open for the run.
+    type Held = Vec<(channel::Receiver<ToActor>, channel::Sender<FromActor>)>;
+
+    impl Fleet<'_> {
+        fn cut(&mut self, actors: &[usize], cut: Cut, held: &mut Held) {
+            for &a in actors {
+                let slot = &mut self.slots[a];
+                match cut {
+                    Cut::Disconnect => slot.tx = channel::bounded(1).0,
+                    Cut::Stall => {
+                        let (tx, rx_far) = channel::bounded(self.spawner.worlds);
+                        let (tx_far, rx) = channel::bounded(1);
+                        slot.tx = tx;
+                        slot.rx = rx;
+                        held.push((rx_far, tx_far));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A host whose actors a [`Cutting`] host can cut off.
+    trait Cuttable: WorldHost {
+        /// Cuts off the actor hosting world `g` or, with `None`, every
+        /// actor.
+        fn cut(&mut self, g: Option<usize>, cut: Cut, held: &mut Held);
+    }
+
+    impl Cuttable for SerialHost<'_, '_> {
+        fn cut(&mut self, g: Option<usize>, cut: Cut, held: &mut Held) {
+            let actors: Vec<usize> = match g {
+                Some(_) => vec![self.actor],
+                None => (0..self.fleet.slots.len()).collect(),
+            };
+            self.fleet.cut(&actors, cut, held);
+        }
+    }
+
+    impl Cuttable for BatchedHost<'_, '_> {
+        fn cut(&mut self, g: Option<usize>, cut: Cut, held: &mut Held) {
+            let actors: Vec<usize> = match g {
+                Some(g) => vec![g / self.fleet.rollout.batch_worlds],
+                None => (0..self.fleet.slots.len()).collect(),
+            };
+            self.fleet.cut(&actors, cut, held);
+        }
+    }
+
+    /// A host that cuts actors off before its `before`-th world step.
+    struct Cutting<H> {
+        inner: H,
+        cut: Cut,
+        world: Option<usize>,
+        before: usize,
+        steps: usize,
+        held: Held,
+    }
+
+    impl<H> Cutting<H> {
+        fn new(inner: H, cut: Cut, world: Option<usize>, before: usize) -> Self {
+            Self {
+                inner,
+                cut,
+                world,
+                before,
+                steps: 0,
+                held: Vec::new(),
+            }
+        }
+    }
+
+    impl<H: Cuttable> WorldHost for Cutting<H> {
+        fn worlds(&self) -> usize {
+            self.inner.worlds()
+        }
+
+        fn reset(&mut self, episode: usize, cap: usize) -> Result<Vec<WorldReset>, FleetLost> {
+            self.inner.reset(episode, cap)
+        }
+
+        fn step(
+            &mut self,
+            worlds: &[usize],
+            commands: Vec<Vec<VehicleCommand>>,
+        ) -> Result<Vec<Option<WorldStep>>, FleetLost> {
+            self.steps += 1;
+            if self.steps == self.before {
+                self.inner.cut(self.world, self.cut, &mut self.held);
+            }
+            self.inner.step(worlds, commands)
+        }
+
+        fn wave_done(&mut self, started: usize) {
+            self.inner.wave_done(started);
+        }
+
+        fn env_rng(&self) -> Vec<u64> {
+            self.inner.env_rng()
+        }
+
+        fn world_rngs(&mut self) -> Option<&mut Vec<Vec<u64>>> {
+            self.inner.world_rngs()
+        }
+    }
+
+    /// [`train_team_actor_learner`] on the fleet, with the actor hosting
+    /// world `world` (every actor with `None`) cut off by `cut` before
+    /// world step `before`.
+    #[allow(clippy::too_many_arguments)]
+    fn train_cut(
+        team: &mut HeroTeam,
+        env: &mut LaneChangeEnv,
+        opts: &TrainOptions,
+        ckpt: &CheckpointConfig,
+        rollout: &RolloutOptions,
+        cut: Cut,
+        world: Option<usize>,
+        before: usize,
+    ) -> Result<TrainOutcome, TrainError> {
+        let core = LearnerCore::start(team, env, opts, ckpt)?;
+        let mut fleet = Fleet::spawn(env, rollout, &ckpt.fault_plan);
+        let outcome = if rollout.batch_worlds == 1 {
+            let inner = SerialHost::new(&mut fleet);
+            learner::run(core, &mut Cutting::new(inner, cut, world, before))
+        } else {
+            let inner = BatchedHost::new(&mut fleet);
+            learner::run(core, &mut Cutting::new(inner, cut, world, before))
+        };
+        env.set_rng_state(&fleet.shut_down());
+        outcome
+    }
+
+    /// Everything a run leaves behind that a twin must reproduce: its
+    /// series, its team, and its environment stream.
+    type RunState = (Vec<Vec<u32>>, Vec<(String, Vec<u8>)>, Vec<u64>);
+
+    fn run_state(out: &TrainOutcome, team: &HeroTeam, env: &LaneChangeEnv) -> RunState {
+        let series = ["reward", "collision", "mean_speed", "critic_loss"]
+            .iter()
+            .map(|name| series_bits(&out.recorder, name))
+            .collect();
+        (series, team.save_state(), env.rng_state())
+    }
+
+    fn checkpoint_file(dir: &std::path::Path, index: u64) -> Vec<u8> {
+        std::fs::read(dir.join(format!("ckpt-{index:08}.hero"))).expect("read checkpoint")
+    }
+
+    fn newest_index(dir: &std::path::Path) -> u64 {
+        crate::checkpoint::load_latest(dir)
+            .expect("checkpoint dir reads")
+            .expect("a checkpoint was written")
+            .index
+    }
+
+    fn counter(snap: &telemetry::Snapshot, name: &str) -> u64 {
+        snap.counter_totals().get(name).copied().unwrap_or(0)
+    }
+
+    fn cut_rollout(actors: usize, batch_worlds: usize, max_respawns: usize) -> RolloutOptions {
+        RolloutOptions {
+            actors,
+            batch_worlds,
+            stall_timeout: Duration::from_millis(100),
+            max_respawns,
+            respawn_backoff_ms: 0,
+        }
+    }
+
+    /// Runs `twin` fault-free and the same run with `world`'s actor cut
+    /// off before step `before`, both ways: with telemetry, comparing run
+    /// state and reading `actor/replayed_steps`; then without, comparing
+    /// the newest checkpoint's bytes.
+    fn assert_replay_matches(
+        tag: &str,
+        twin: impl Fn(&mut HeroTeam, &mut LaneChangeEnv, &CheckpointConfig) -> TrainOutcome,
+        opts: &TrainOptions,
+        rollout: &RolloutOptions,
+        world: usize,
+        before: usize,
+    ) {
+        let base = std::env::temp_dir().join(format!("hero-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let ckpt = |name: &str| CheckpointConfig {
+            every: 2,
+            dir: Some(base.join(name)),
+            ..CheckpointConfig::default()
+        };
+        let (mut team, mut env) = fixture(3, 4);
+        let out = twin(&mut team, &mut env, &ckpt("twin"));
+        let expected = run_state(&out, &team, &env);
+        for cut in [Cut::Disconnect, Cut::Stall] {
+            let name = format!("{cut:?}");
+            // The checkpoint cadence caps batched waves, so both passes
+            // checkpoint; only the second pass's files are comparable.
+            let sink = telemetry::scoped(telemetry::TelemetryConfig::default());
+            let (mut team, mut env) = fixture(3, 4);
+            let cfg = ckpt(&format!("{name}-telemetry"));
+            let out = train_cut(
+                &mut team,
+                &mut env,
+                opts,
+                &cfg,
+                rollout,
+                cut,
+                Some(world),
+                before,
+            )
+            .expect("a replayed world completes the run");
+            let replayed = counter(&sink.snapshot(), "actor/replayed_steps");
+            drop(sink);
+            assert!(replayed > 0, "{tag}/{name}: the cut must be replayed");
+            assert_eq!(expected, run_state(&out, &team, &env), "{tag}/{name}");
+
+            // Telemetry off: the checkpoint bytes match as well.
+            let (mut team, mut env) = fixture(3, 4);
+            let (cfg, dir) = (ckpt(&name), base.join(&name));
+            train_cut(
+                &mut team,
+                &mut env,
+                opts,
+                &cfg,
+                rollout,
+                cut,
+                Some(world),
+                before,
+            )
+            .expect("a replayed world completes the run");
+            let index = newest_index(&dir);
+            assert_eq!(index, newest_index(&base.join("twin")), "{tag}/{name}");
+            assert_eq!(
+                checkpoint_file(&base.join("twin"), index),
+                checkpoint_file(&dir, index),
+                "{tag}/{name}: checkpoint bytes diverged from the twin"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn serial_mid_episode_replay_matches_sequential() {
+        let opts = TrainOptions {
+            episodes: 4,
+            update_every: 2,
+            seed: 5,
+        };
+        // Step 8 falls inside the second episode, whatever ends the first.
+        assert_replay_matches(
+            "serial-cut",
+            |team, env, ckpt| {
+                crate::trainer::train_team_checkpointed(team, env, &opts, ckpt)
+                    .expect("sequential runs cannot fail")
+            },
+            &opts,
+            &cut_rollout(2, 1, 2),
+            0,
+            8,
+        );
+    }
+
+    #[test]
+    fn batched_mid_wave_replay_matches_fault_free_twin() {
+        let opts = TrainOptions {
+            episodes: 6,
+            update_every: 2,
+            seed: 5,
+        };
+        let rollout = cut_rollout(2, 2, 2);
+        // Waves of two worlds run on actor 0; its step 3 falls mid-wave.
+        assert_replay_matches(
+            "batched-cut",
+            |team, env, ckpt| {
+                train_team_actor_learner(team, env, &opts, ckpt, &rollout)
+                    .expect("a fault-free run completes")
+            },
+            &opts,
+            &rollout,
+            0,
+            3,
+        );
+    }
+
+    #[test]
+    fn batched_retired_slot_abandons_its_worlds_reproducibly() {
+        let opts = TrainOptions {
+            episodes: 8,
+            update_every: 2,
+            seed: 5,
+        };
+        let rollout = cut_rollout(2, 2, 0);
+        for cut in [Cut::Disconnect, Cut::Stall] {
+            let run = || {
+                let sink = telemetry::scoped(telemetry::TelemetryConfig::default());
+                let (mut team, mut env) = fixture(3, 4);
+                let cfg = CheckpointConfig::default();
+                // The first wave runs all four worlds; world 2's actor 1
+                // is cut off mid-wave and, with no respawn budget, retired.
+                let out = train_cut(&mut team, &mut env, &opts, &cfg, &rollout, cut, Some(2), 3)
+                    .expect("the surviving actor finishes the run");
+                let abandoned = counter(&sink.snapshot(), "supervisor/abandoned_worlds");
+                assert!(out.completed, "{cut:?}");
+                assert_eq!(out.episodes_run, opts.episodes, "{cut:?}");
+                assert_eq!(
+                    out.recorder.series("reward").map(<[f32]>::len),
+                    Some(opts.episodes)
+                );
+                assert!(
+                    abandoned > 0,
+                    "{cut:?}: actor 1's running worlds are abandoned"
+                );
+                run_state(&out, &team, &env)
+            };
+            assert_eq!(
+                run(),
+                run(),
+                "{cut:?}: abandonment must reproduce run to run"
+            );
+        }
+    }
+
+    #[test]
+    fn fleet_lost_mid_episode_keeps_the_last_boundary_checkpoint() {
+        let opts = TrainOptions {
+            episodes: 6,
+            update_every: 2,
+            seed: 5,
+        };
+        let base = std::env::temp_dir().join(format!("hero-fleet-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        let ckpt = |name: &str, every: usize| CheckpointConfig {
+            every,
+            retain: 10,
+            dir: Some(base.join(name)),
+            ..CheckpointConfig::default()
+        };
+        // Step 9 falls mid-episode after the first checkpoint: past the
+        // first serial episode, and past the first batched wave of two
+        // worlds. Every actor hosts a running world when it is cut off,
+        // so the step that finds them gone loses the fleet.
+        let modes = [
+            ("serial", cut_rollout(2, 1, 0), 1),
+            ("batched", cut_rollout(1, 2, 0), 2),
+        ];
+        for (mode, rollout, every) in modes {
+            let ckpt = |name: &str| ckpt(name, every);
+            let twin = format!("{mode}-twin");
+            let (mut team, mut env) = fixture(3, 4);
+            train_team_actor_learner(&mut team, &mut env, &opts, &ckpt(&twin), &rollout)
+                .expect("a fault-free run completes");
+            for cut in [Cut::Disconnect, Cut::Stall] {
+                let name = format!("{mode}-{cut:?}");
+                let run = |cfg: &CheckpointConfig| {
+                    let (mut team, mut env) = fixture(3, 4);
+                    match train_cut(&mut team, &mut env, &opts, cfg, &rollout, cut, None, 9) {
+                        Err(TrainError::FleetLost {
+                            emergency_checkpoint_saved: false,
+                            ..
+                        }) => {}
+                        other => panic!("{name}: expected FleetLost without a save, got {other:?}"),
+                    }
+                };
+                let sink = telemetry::scoped(telemetry::TelemetryConfig::default());
+                run(&ckpt(&format!("{name}-telemetry")));
+                let skipped = counter(&sink.snapshot(), "supervisor/emergency_skipped");
+                drop(sink);
+                assert_eq!(skipped, 1, "{name}");
+
+                // Telemetry off: the newest file on disk is the twin's
+                // checkpoint from the same boundary.
+                run(&ckpt(&name));
+                let index = newest_index(&base.join(&name));
+                assert_eq!(
+                    checkpoint_file(&base.join(&twin), index),
+                    checkpoint_file(&base.join(&name), index),
+                    "{name}: the newest checkpoint is not the last boundary one"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&base);
     }
 }

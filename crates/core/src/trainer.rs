@@ -28,7 +28,7 @@ use hero_sim::vehicle::{VehicleCommand, VehicleState};
 use crate::agent::{AgentCursor, HeroAgent};
 use crate::checkpoint::{self, CheckpointStore};
 use crate::config::{HeroConfig, TerminationMode};
-use crate::learner::{run_episodes, InlineHost, LearnerCore};
+use crate::learner::{self, InlineHost, LearnerCore};
 use crate::skills::SkillLibrary;
 
 /// One world's state as the team reads it to decide or to record a step:
@@ -63,9 +63,9 @@ fn layout_of<W: CooperativeWorld>(env: &W) -> (Track, Vec<usize>, Vec<VehicleSta
 /// per agent plus the joint last-observed-options vector.
 ///
 /// This is the only option state there is. The team owns one cursor for
-/// the world it steps itself ([`HeroTeam::cursor`]); the batched rollout
-/// engine owns one per in-flight world and passes it with every decision
-/// and recorded step.
+/// the world it steps itself ([`HeroTeam::cursor`]); the training loop
+/// owns one per world it runs and passes it with every decision and
+/// recorded step.
 #[derive(Clone, Debug, Default)]
 pub struct TeamCursor {
     agents: Vec<AgentCursor>,
@@ -201,7 +201,10 @@ impl HeroTeam {
             states: &states,
             obs,
         };
-        self.decide_in(None, &world, None, rng, explore)
+        let mut cur = std::mem::take(&mut self.cursor);
+        let commands = self.decide_in(&mut cur, &world, None, rng, explore);
+        self.cursor = cur;
+        commands
     }
 
     /// Records the step outcome into every agent on the team's own cursor,
@@ -222,25 +225,25 @@ impl HeroTeam {
             states: &states,
             obs: next_obs,
         };
-        self.record_in(None, &after, pre_obs, rewards, done);
+        let mut cur = std::mem::take(&mut self.cursor);
+        self.record_in(&mut cur, &after, pre_obs, rewards, done);
+        self.cursor = cur;
     }
 
-    /// [`HeroTeam::decide`] with the world given as data, on `cur` — the
-    /// cursor of one of many in-flight worlds — or, with `None`, on the
-    /// team's own cursor. `logits[k]`, when given and `Some`, are agent
+    /// [`HeroTeam::decide`] with the world given as data, on the world's
+    /// cursor `cur`. `logits[k]`, when given and `Some`, are agent
     /// `k`'s policy logits precomputed by a batched forward pass over many
     /// worlds ([`HeroAgent::batch_logits`]); otherwise the agent runs its
     /// own single-row forward. Randomness and telemetry follow exactly the
     /// order of [`HeroTeam::decide`].
     pub(crate) fn decide_in(
         &mut self,
-        cur: Option<&mut TeamCursor>,
+        cur: &mut TeamCursor,
         world: &WorldView<'_>,
         logits: Option<&[Option<Vec<f32>>]>,
         rng: &mut StdRng,
         explore: bool,
     ) -> Vec<VehicleCommand> {
-        let cur = cur.unwrap_or(&mut self.cursor);
         assert_eq!(world.learners.len(), self.agents.len(), "team/world size mismatch");
         for (k, &v) in world.learners.iter().enumerate() {
             let high_obs = world.obs[v].high_vec();
@@ -276,17 +279,16 @@ impl HeroTeam {
         commands
     }
 
-    /// [`HeroTeam::record`] with the post-step world given as data, on
-    /// `cur` or (with `None`) the team's own cursor.
+    /// [`HeroTeam::record`] with the post-step world given as data, on the
+    /// world's cursor `cur`.
     pub(crate) fn record_in(
         &mut self,
-        cur: Option<&mut TeamCursor>,
+        cur: &mut TeamCursor,
         after: &WorldView<'_>,
         pre_obs: &[Observation],
         rewards: &[f32],
         done: bool,
     ) {
-        let cur = cur.unwrap_or(&mut self.cursor);
         let mut any_terminated = false;
         for (k, &v) in after.learners.iter().enumerate() {
             let others = cur.others_last(k);
@@ -330,11 +332,11 @@ impl HeroTeam {
         TeamCursor::new(self.cursor.last_options.clone())
     }
 
-    /// Folds a world cursor's joint last-options vector back into the
-    /// team, so checkpoints ([`HeroTeam::save_state`]) and later use (e.g.
-    /// [`evaluate_team`]) continue from it.
+    /// Continues the team's own cursor, idle, from a world cursor's joint
+    /// last-options vector, so checkpoints ([`HeroTeam::save_state`]) and
+    /// later use (e.g. [`evaluate_team`]) continue from it.
     pub(crate) fn absorb_cursor(&mut self, cur: &TeamCursor) {
-        self.cursor.set_last_options(cur.last_options.clone());
+        self.cursor = TeamCursor::new(cur.last_options.clone());
     }
 
     /// Captures the team's full state — every agent plus the joint
@@ -640,9 +642,8 @@ pub fn train_team_checkpointed<W: CooperativeWorld>(
     opts: &TrainOptions,
     ckpt: &CheckpointConfig,
 ) -> Result<TrainOutcome, TrainError> {
-    let (mut core, _) = LearnerCore::start(team, env, opts, ckpt)?;
-    let completed = run_episodes(&mut core, &mut InlineHost(env))?;
-    Ok(core.finish(completed))
+    let core = LearnerCore::start(team, env, opts, ckpt)?;
+    learner::run(core, &mut InlineHost(env))
 }
 
 /// Greedy evaluation results over a batch of episodes (the paper's

@@ -19,7 +19,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::env::{EnvConfig, LaneChangeEnv, VehicleRole, VehicleSpawn};
+use crate::env::{EnvConfig, LaneChangeEnv, Observation, VehicleRole, VehicleSpawn};
 use crate::options::{adjacent_lane, resolve_lane_change_steering, DrivingOption};
 use crate::vehicle::VehicleCommand;
 
@@ -154,7 +154,7 @@ impl SkillEnv {
 
     /// Starts a new episode and returns the initial observation.
     pub fn reset(&mut self) -> Vec<f32> {
-        self.inner.reset();
+        let obs = self.inner.reset();
         self.result = ManeuverResult::InProgress;
         match self.kind {
             SkillKind::DrivingInLane => {
@@ -168,13 +168,13 @@ impl SkillEnv {
                 self.target_lane = adjacent_lane(lane, &self.inner.config().track);
             }
         }
-        self.observe()
+        self.skill_obs(&obs[0])
     }
 
-    /// Current observation: `[image…, speed, laneID]` (+ option one-hot for
-    /// the driving-in-lane skill).
-    pub fn observe(&mut self) -> Vec<f32> {
-        let mut v = self.inner.observe(0).low_flat_vec();
+    /// The skill's view of the vehicle's observation `obs`: `[image…,
+    /// speed, laneID]` (+ option one-hot for the driving-in-lane skill).
+    fn skill_obs(&self, obs: &Observation) -> Vec<f32> {
+        let mut v = obs.low_flat_vec();
         if self.kind == SkillKind::DrivingInLane {
             for opt in IN_LANE_TRAINED_OPTIONS {
                 v.push(if opt == self.current_option { 1.0 } else { 0.0 });
@@ -232,7 +232,7 @@ impl SkillEnv {
             }
         };
         let done = self.is_done();
-        (self.observe(), reward, done)
+        (self.skill_obs(&out.observations[0]), reward, done)
     }
 }
 
@@ -248,7 +248,7 @@ mod tests {
         let lc = SkillEnv::lane_change(cfg, 0);
         assert_eq!(lc.obs_dim(), cfg.low_dim());
         assert_eq!(lc.action_dim(), 2);
-        assert_eq!(in_lane.observe().len(), in_lane.obs_dim());
+        assert_eq!(in_lane.reset().len(), in_lane.obs_dim());
     }
 
     #[test]

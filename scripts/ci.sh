@@ -221,6 +221,30 @@ truncate -s 64 "$newest"
     --checkpoint-dir "$CRASH/ckpt-b" --resume >/dev/null
 expect_counter "$CRASH/tel-c" checkpoint/fallback -eq 1 "after corrupting the newest checkpoint"
 
+# The same drill on the batched engine (2 actors x 2 worlds), whose
+# resume also restores every world's RNG stream and option vector from
+# the checkpoint's workers section: killed and resumed, it must match an
+# uninterrupted batched run (batched runs interleave episodes, so they
+# are compared with each other, not with the sequential runs above).
+BATCHED=(--actors 2 --batch-worlds 2)
+./target/release/fig10_opponent_loss "${RUN_FLAGS[@]}" "${BATCHED[@]}" \
+    --out "$CRASH/shared" --telemetry-out "$CRASH/tel-batched-a" \
+    --checkpoint-dir "$CRASH/ckpt-batched-a" >/dev/null
+cp "$CRASH/shared/fig10_opponent_loss.csv" "$CRASH/fig10_batched_a.csv"
+rc=0
+./target/release/fig10_opponent_loss "${RUN_FLAGS[@]}" "${BATCHED[@]}" \
+    --out "$CRASH/shared" --telemetry-out "$CRASH/tel-batched-b1" \
+    --checkpoint-dir "$CRASH/ckpt-batched-b" \
+    --fault-plan kill@ep:3 >/dev/null || rc=$?
+test "$rc" -eq 137 || { echo "expected exit 137 from the batched kill, got $rc"; exit 1; }
+./target/release/fig10_opponent_loss "${RUN_FLAGS[@]}" "${BATCHED[@]}" \
+    --out "$CRASH/shared" --telemetry-out "$CRASH/tel-batched-b" \
+    --checkpoint-dir "$CRASH/ckpt-batched-b" --resume >/dev/null
+./target/release/hero-inspect diff "$CRASH/tel-batched-a" "$CRASH/tel-batched-b" \
+    --tol-value 0 --tol-count 0 --tol-counter 0 --abs-floor 0 \
+    --ignore checkpoint/ --ignore live/ --fail-on-regression
+cmp "$CRASH/fig10_batched_a.csv" "$CRASH/shared/fig10_opponent_loss.csv"
+
 echo "=== chaos soak (actor supervision)"
 # The self-healing ladder under a combined fault schedule on a 3-actor
 # serial run: actor 1 panics at startup, actor 2 freezes (stall), actor 0

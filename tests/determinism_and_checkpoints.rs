@@ -503,6 +503,54 @@ fn hero_checkpoint_bytes_are_pinned() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The batched schedule's bytes are a contract too: which world runs
+/// which episode, the order worlds decide and record in, and the
+/// per-world RNG streams and option vectors of the `workers` section all
+/// land in the checkpoint. The other batched tests compare the engine
+/// with itself, so only this pin catches a reordering. Telemetry stays
+/// off, as in [`hero_checkpoint_bytes_are_pinned`].
+#[test]
+fn hero_actor_learner_batched_checkpoint_bytes_are_pinned() {
+    use hero_core::rollout::{train_team_actor_learner, RolloutOptions};
+    use hero_core::trainer::CheckpointConfig;
+
+    const PINNED_LEN: usize = 70_032;
+    const PINNED_FNV1A: u64 = 0xa382_b48b_b688_adcb;
+
+    let dir = std::env::temp_dir().join(format!("hero_pinned_batched_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let seed = 31;
+    let (mut env, mut team) = hero_crash_fixture(seed);
+    let out = train_team_actor_learner(
+        &mut team,
+        &mut env,
+        &crash_opts(6, seed),
+        &CheckpointConfig {
+            every: 2,
+            dir: Some(dir.clone()),
+            ..CheckpointConfig::default()
+        },
+        &RolloutOptions {
+            actors: 2,
+            batch_worlds: 2,
+            ..RolloutOptions::default()
+        },
+    )
+    .expect("a fault-free batched run completes");
+    assert!(out.completed);
+    let bytes = newest_checkpoint_bytes(&dir);
+    let fnv1a = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(
+        (bytes.len(), fnv1a),
+        (PINNED_LEN, PINNED_FNV1A),
+        "batched checkpoint bytes changed: (len, FNV-1a) = ({}, {fnv1a:#018x})",
+        bytes.len()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Serial-mode actor/learner training (`batch_worlds == 1`) is the
 /// sequential trainer with environment stepping moved onto actor
 /// threads: for any actor count it must reproduce the sequential run
